@@ -4,13 +4,15 @@ Training fits a trajectory-subspace model to the recent past and replays the
 training windows to seed a memory of residual magnitudes. Each arriving value
 then gets one score record:
 
-1. append the value and take the newest window of the history buffer;
+1. reject a non-finite value, then form the newest window: the last M1 - 1
+   history values followed by the new one;
 2. robustly project the window onto the basis, which excludes the most
    suspect coordinates (possibly including the new value itself) before
    solving for coefficients;
 3. the residual is the new value minus its reconstruction from the last basis
    row, and the score is the fraction of remembered residual magnitudes that
    fall strictly below it (computed before the new magnitude is remembered);
+   only now is the value appended and the state advanced;
 4. scores above the threshold flag the stamp, and optionally the stored value
    is replaced by its reconstruction so one anomaly cannot contaminate the
    windows of its successors;
@@ -24,13 +26,14 @@ the residual scale.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotTrained, SeriesTooShort
+from .errors import NonFiniteValue, NotTrained, SeriesTooShort
 from .projection import robust_projection, simple_projection
 from .subspace import DEFAULT_RANK_CAP, ESTIMATORS, SubspaceModel
 from .trajectory import build_trajectory, series_values
@@ -221,21 +224,29 @@ def warm_start(model: SubspaceModel, t_train, config: DetectorConfig | None = No
 
 
 def step(state: DetectorState, value: float) -> ScoreRecord:
-    """Score one arriving value and advance the state."""
+    """Score one arriving value and advance the state.
+
+    The value is checked and the window projected before anything is
+    committed, so a step that raises (NonFiniteValue, RankDeficient) leaves
+    the state as it was.
+    """
     if state.model is None:
         raise NotTrained("call train() before step()")
     config = state.config
-    state.history.append(float(value))
-    state.counter += 1
     index = state.samples_seen
-    state.samples_seen += 1
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonFiniteValue(index, "non-finite stream value")
 
-    window = np.asarray(state.history[-config.M1:])
+    window = np.asarray(state.history[-(config.M1 - 1):] + [value])
     a_hat = _project(state.model, window, config, state.projection)
     reconstruction = float(a_hat @ state.model.U[-1, :])
-    residual = float(value) - reconstruction
+    residual = value - reconstruction
     magnitude = abs(residual)
 
+    state.history.append(value)
+    state.counter += 1
+    state.samples_seen += 1
     cdf_score = state.memory.cdf(magnitude)  # before remembering this one
     state.memory.append(magnitude)
 

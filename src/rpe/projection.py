@@ -18,9 +18,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
-from .errors import BadBudget, DidNotConverge, DimensionMismatch, RankDeficient
+from .errors import (
+    BadBudget,
+    DidNotConverge,
+    DimensionMismatch,
+    NonFiniteValue,
+    RankDeficient,
+)
 
 RANK_TOL = 1e-10
 IRLS_SMOOTHING = 1e-8
@@ -78,18 +84,57 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
     if n_s == 0:
         a_hat = a0  # full-row least squares on an orthonormal basis
     else:
-        q, rmat = np.linalg.qr(U[kept])
-        if np.abs(np.diag(rmat)).min() <= RANK_TOL:
-            raise RankDeficient(
-                f"kept rows span less than rank {r} (QR diagonal below {RANK_TOL})"
-            )
-        a_hat = solve_triangular(rmat, q.T @ x[kept])
+        a_hat = _kept_row_solve(U, x, kept)
     return RobustProjectionResult(
         a_hat=a_hat,
         kept_rows=kept,
         residual=x - U @ a_hat,
         prelim_residual=prelim,
     )
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
+
+
+def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Least squares on the kept rows: QR of U[kept], then R a = Q^T x[kept].
+
+    Calls the LAPACK routines directly, on the memory layouts that
+    np.linalg.qr and scipy.linalg.solve_triangular give them, so the
+    coefficients are bit-identical to those wrappers at under half their call
+    overhead: Q is made C-contiguous before the product, and the triangular
+    solve reads R^T from the lower triangle of the factor (dtrtrs with
+    lower=1, trans=1, as solve_triangular does for a C-ordered R).
+    """
+    r = U.shape[1]
+    qr, tau, _, info = dgeqrf(U[kept])
+    _check_info("dgeqrf", info)
+    if np.abs(qr.diagonal()).min() <= RANK_TOL:
+        raise RankDeficient(
+            f"kept rows span less than rank {r} (QR diagonal below {RANK_TOL})"
+        )
+    q, _, info = dorgqr(qr, tau)
+    _check_info("dorgqr", info)
+    rhs = np.ascontiguousarray(q).T @ x[kept]
+    # R and Q^T x must be finite: the condition of scipy's check_finite, so
+    # the same windows fail. rmat holds reflector entries below its diagonal,
+    # so when the whole block is not finite its upper triangle (R) decides.
+    rmat = qr[:r]
+    r_finite = np.isfinite(rmat).all() or np.isfinite(rmat[np.triu_indices(r)]).all()
+    if not (r_finite and np.isfinite(rhs).all()):
+        raise NonFiniteValue(_blamed_row(U, x, kept), "non-finite number in the kept-row solve")
+    a_hat, info = dtrtrs(rmat.T, rhs, lower=1, trans=1)
+    _check_info("dtrtrs", info)
+    return a_hat
+
+
+def _blamed_row(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> int:
+    """Window row behind a non-finite solve: the first kept row holding a
+    non-finite value or basis entry, else (overflow) the largest kept value."""
+    bad = ~(np.isfinite(x[kept]) & np.isfinite(U[kept]).all(axis=1))
+    return int(kept[np.argmax(bad)] if bad.any() else kept[np.argmax(np.abs(x[kept]))])
 
 
 def l1_projection_oracle(

@@ -14,7 +14,7 @@ from rpe.detector import (
     train,
     warm_start,
 )
-from rpe.errors import NotTrained, SeriesTooShort
+from rpe.errors import NonFiniteValue, NotTrained, RankDeficient, SeriesTooShort
 from rpe.subspace import SubspaceModel
 from rpe.synth import AnomalySpec, SynthSpec, anomaly_scale, generate_clean
 from rpe.trajectory import TimeSeries
@@ -209,6 +209,47 @@ class TestStep:
             step(st, float(v))
         assert st.model is model_before
 
+
+def snapshot(st: DetectorState) -> tuple:
+    return (list(st.history), st.counter, st.samples_seen, st.memory.values(),
+            dict(st.replacements), st.model)
+
+
+class TestStepAtomicity:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_before_any_change(self, bad):
+        model, pattern = shift_invariant_model()
+        st = warm_start(model, series(pattern[:80]))
+        before = snapshot(st)
+        with pytest.raises(NonFiniteValue) as info:
+            step(st, bad)
+        assert info.value.index == 80
+        assert snapshot(st) == before
+        # The rejected value leaves no trace in the next score.
+        fresh = warm_start(model, series(pattern[:80]))
+        assert step(st, float(pattern[80])) == step(fresh, float(pattern[80]))
+
+    def test_rank_deficient_window_leaves_state_unchanged(self):
+        # The basis of test_rank_deficient_kept_rows: the window
+        # [0, 5, -5, 0, 0] forces out the only rows that see the second
+        # coordinate, so the projection raises before anything is committed.
+        a = 1.0 / np.sqrt(2.0)
+        u = np.array([[1.0, 0.0], [0.0, a], [0.0, a], [0.0, 0.0], [0.0, 0.0]])
+        memory = ResidualMemory()
+        for v in (0.1, 0.2, 0.3):
+            memory.append(v)
+        st = DetectorState(
+            config=DetectorConfig(M1=5, n_s=2, t_max=10),
+            model=SubspaceModel(U=u, r=2, M1=5, singular_values=np.ones(2)),
+            memory=memory,
+            history=[1.0, 2.0, 0.0, 5.0, -5.0, 0.0],
+            counter=3,
+            samples_seen=6,
+        )
+        before = snapshot(st)
+        with pytest.raises(RankDeficient):
+            step(st, 0.0)
+        assert snapshot(st) == before
 
 @pytest.fixture(scope="module")
 def run():

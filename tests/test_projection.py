@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy.fft import dct
 
-from rpe.errors import BadBudget, DidNotConverge, DimensionMismatch, RankDeficient
+from rpe.errors import (
+    BadBudget,
+    DidNotConverge,
+    DimensionMismatch,
+    NonFiniteValue,
+    RankDeficient,
+)
 from rpe.projection import (
     l1_projection_oracle,
     residual_of_last,
@@ -150,6 +156,37 @@ class TestRobustProjection:
         with pytest.raises(RankDeficient):
             robust_projection(u, x, 2)
 
+    @pytest.mark.parametrize("where", ["window", "basis"])
+    def test_non_finite_kept_row_is_typed(self, where):
+        # One non-finite entry makes every preliminary residual NaN, so the
+        # stable sort keeps the lowest-index rows; row 0 is kept and blamed.
+        u = dct_frame(10, (1, 3))
+        x = u @ np.array([1.0, -0.5])
+        if where == "window":
+            x[0] = np.inf
+        else:
+            u[0, 1] = np.nan
+        with pytest.raises(NonFiniteValue) as info, np.errstate(invalid="ignore"):
+            robust_projection(u, x, 2)
+        assert info.value.index == 0
+
+    @pytest.mark.parametrize("m1", [10, 30, 60])
+    @pytest.mark.parametrize("rank", range(1, 11))
+    def test_matches_lstsq_on_kept_rows(self, m1, rank):
+        # The kept-row solve against an SVD least-squares reference, with up
+        # to n_s spikes as large as 1e12.
+        n_s = min(5, m1 - rank)
+        rng = np.random.default_rng(100 * m1 + rank)
+        for _ in range(20):
+            u, _ = np.linalg.qr(rng.standard_normal((m1, rank)))
+            x = u @ rng.standard_normal(rank) + 0.05 * rng.standard_normal(m1)
+            k = rng.integers(0, n_s + 1)
+            rows = rng.choice(m1, k, replace=False)
+            x[rows] += rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(0, 12, k)
+            result = robust_projection(u, x, n_s)
+            kept = result.kept_rows
+            ref = np.linalg.lstsq(u[kept], x[kept], rcond=None)[0]
+            assert np.linalg.norm(result.a_hat - ref) <= 1e-12 * np.linalg.norm(ref)
 
 class TestL1Oracle:
     def test_zero_objective(self):
