@@ -3,18 +3,18 @@
 Two opposite point anomalies, five decile-spreads tall and five samples
 apart, are planted in a synthetic stream. The robust detector flags both,
 keeps the stamps between them quiet, and replaces the stored values so later
-windows stay clean. The same pipeline with a plain projection smears each
-anomaly across every window that contains it and flags the clean stamps in
-between. (The empirical-CDF threshold of 0.95 means roughly one clean stamp
-in twenty is flagged as borderline either way; the point is the contrast
-around the anomalies.)
+windows stay clean. The same pipeline with a plain projection (an exclusion
+budget of n_s = 0 rows) smears each anomaly across every window that contains
+it and flags the clean stamps in between. (The empirical-CDF threshold of
+0.95 means roughly one clean stamp in twenty is flagged as borderline either
+way; the point is the contrast around the anomalies.)
 
 Run:  python3 demos/03_streaming_detection.py
 """
 
 import numpy as np
 
-from rpe.detector import score_series, train
+from rpe.detector import DetectorConfig, score_series, train
 from rpe.synth import SynthSpec, anomaly_scale, generate_clean
 from rpe.trajectory import TimeSeries
 
@@ -22,9 +22,8 @@ TRAIN_LEN = 150
 ANOMALIES = (21, 26)  # offsets into the streamed half
 
 
-def run(projection: str, clean, stream):
-    state = train(TimeSeries(values=clean.values[:TRAIN_LEN].copy()),
-                  projection=projection)
+def run(config: DetectorConfig, clean, stream):
+    state = train(TimeSeries(values=clean.values[:TRAIN_LEN].copy()), config)
     records = score_series(state, stream.tolist())
     return state, {r.index: r for r in records}
 
@@ -40,8 +39,8 @@ def main() -> None:
     print(f"trained on {TRAIN_LEN} clean samples; decile spread f = {f:.2f}")
     print(f"anomalies: +5f at index {a1}, -5f at index {a2}\n")
 
-    _, robust = run("robust", clean, stream)
-    _, plain = run("simple", clean, stream)
+    _, robust = run(DetectorConfig(), clean, stream)
+    _, plain = run(DetectorConfig(n_s=0), clean, stream)
 
     print("index    value     robust |e|  flag   plain |e|   flag")
     for i in range(a1 - 2, a2 + 4):
@@ -58,7 +57,7 @@ def main() -> None:
     print(f"  plain projection  : {plain_mid:.3f} "
           f"({plain_mid / robust_mid:.0f}x larger — the smear)")
 
-    state, _ = run("robust", clean, stream)
+    state, _ = run(DetectorConfig(), clean, stream)
     stored = np.asarray(state.history)
     print("\nvalue replacement: the flagged values were rewritten with their")
     print("reconstructions, so the stored history tracks the clean series:")

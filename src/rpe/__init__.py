@@ -10,18 +10,10 @@ threshold-free scores in [0, 1].
 
 from .baselines import (
     ArDetector,
-    ArState,
     IidDetector,
-    IidState,
     RpeDetector,
     SpeDetector,
-    ar_step,
-    ar_train,
-    iid_step,
-    iid_train,
     make_detector,
-    spe_step,
-    spe_train,
 )
 from .coherence import (
     CoherenceReport,
@@ -56,7 +48,6 @@ from .evaluation import (
 from .projection import (
     RobustProjectionResult,
     l1_projection_oracle,
-    residual_of_last,
     robust_projection,
     simple_projection,
 )
@@ -68,7 +59,6 @@ from .subspace import (
     load_model,
     model_from_dict,
     model_to_dict,
-    outlier_columns,
     save_model,
     select_rank,
 )
@@ -83,7 +73,6 @@ from .trajectory import (
     TimeSeries,
     TrajectoryMatrix,
     build_trajectory,
-    last_window,
     read_csv,
     trajectory_to_series,
     write_csv,
@@ -93,9 +82,8 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArDetector", "ArState", "IidDetector", "IidState", "RpeDetector",
-    "SpeDetector", "ar_step", "ar_train", "iid_step", "iid_train",
-    "make_detector", "spe_step", "spe_train",
+    "ArDetector", "IidDetector", "RpeDetector", "SpeDetector",
+    "make_detector",
     "CoherenceReport", "coherence_report", "gamma_estimate",
     "kappa_estimate", "mu_squared",
     "DetectorConfig", "DetectorState", "ResidualMemory", "ScoreRecord",
@@ -103,14 +91,14 @@ __all__ = [
     "BenchmarkReport", "MethodSummary", "PrCurvePoint", "Scenario",
     "TABLE_SCENARIOS", "max_f1", "method_scores", "pr_curve",
     "run_labeled_series", "run_scenario", "score_methods",
-    "RobustProjectionResult", "l1_projection_oracle", "residual_of_last",
-    "robust_projection", "simple_projection",
+    "RobustProjectionResult", "l1_projection_oracle", "robust_projection",
+    "simple_projection",
     "SubspaceModel", "estimate_columnwise", "estimate_elementwise",
     "estimate_simple", "load_model", "model_from_dict", "model_to_dict",
-    "outlier_columns", "save_model", "select_rank",
+    "save_model", "select_rank",
     "AnomalySpec", "SynthSpec", "anomaly_scale", "generate_clean",
     "inject_anomalies",
-    "TimeSeries", "TrajectoryMatrix", "build_trajectory", "last_window",
-    "read_csv", "trajectory_to_series", "write_csv",
+    "TimeSeries", "TrajectoryMatrix", "build_trajectory", "read_csv",
+    "trajectory_to_series", "write_csv",
     "errors",
 ]

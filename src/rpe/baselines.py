@@ -3,90 +3,36 @@
 Four methods, one record shape:
 
 * ``rpe``: the robust-projection detector from the detector module.
-* ``spe``: the same pipeline with the plain projection, so a corrupted
-  window coordinate leaks into the coefficients. Equals rpe with n_s = 0.
+* ``spe``: the same detector with an exclusion budget of zero rows
+  (n_s = 0), which is the plain projection, so a corrupted window
+  coordinate leaks into the coefficients.
 * ``iid``: Gaussian model over a ring buffer of recent values; the score is
   one minus the two-sided p-value of the new value.
 * ``ar``: fixed-order autoregression fitted by least squares; the residual
   is the one-step-ahead prediction error.
 
-Every adapter exposes fit(values) and step(value) -> ScoreRecord so the
-evaluation harness can drive them interchangeably.
+Every detector exposes fit(values) and step(value) -> ScoreRecord so the
+evaluation harness can drive them interchangeably; step before fit raises
+NotTrained.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import detector
 from .detector import DetectorConfig, DetectorState, ResidualMemory, ScoreRecord
-from .errors import SeriesTooShort, SingularNormalEquations
+from .errors import NotTrained, SeriesTooShort
 from .trajectory import series_values
 
 IID_BUFFER_LEN = 100
 AR_WINDOW = 30
 AR_RETRAIN_EVERY = 100
 AR_RIDGE = 1e-8
-
-
-def spe_train(t_train, config: DetectorConfig | None = None) -> DetectorState:
-    """Train the detector pipeline with the plain projection."""
-    return detector.train(t_train, config, projection="simple")
-
-
-def spe_step(state: DetectorState, value: float) -> ScoreRecord:
-    """Alias of the shared step; the state already carries the projection."""
-    return detector.step(state, value)
-
-
-@dataclass
-class IidState:
-    buffer: deque = field(default_factory=lambda: deque(maxlen=IID_BUFFER_LEN))
-
-
-def iid_train(t_train, buffer_len: int = IID_BUFFER_LEN) -> IidState:
-    """Seed the ring buffer with the most recent training values."""
-    values = series_values(t_train)
-    if values.size == 0:
-        raise SeriesTooShort("iid training needs at least one sample")
-    state = IidState(buffer=deque(maxlen=buffer_len))
-    for v in values[-buffer_len:]:
-        state.buffer.append(float(v))
-    return state
-
-
-def iid_step(state: IidState, value: float) -> float:
-    """Score in [0, 1]: one minus the two-sided Gaussian p-value.
-
-    Zero buffer variance degenerates to 1 when the value differs from the
-    buffer mean and 0 when it equals it. The value enters the buffer after
-    scoring, evicting the oldest entry once the buffer is full.
-    """
-    if not state.buffer:
-        raise SeriesTooShort("iid buffer is empty")
-    buf = np.asarray(state.buffer)
-    mean = float(buf.mean())
-    std = float(buf.std())
-    v = float(value)
-    if std == 0.0:
-        score = 0.0 if v == mean else 1.0
-    else:
-        score = math.erf(abs(v - mean) / (std * math.sqrt(2.0)))
-    state.buffer.append(v)
-    return score
-
-
-@dataclass
-class ArState:
-    weights: np.ndarray
-    history: list[float]
-    window: int = AR_WINDOW
-    retrain_every: int = AR_RETRAIN_EVERY
-    counter: int = 0
 
 
 def _fit_ar_weights(values: np.ndarray, window: int) -> np.ndarray:
@@ -97,87 +43,49 @@ def _fit_ar_weights(values: np.ndarray, window: int) -> np.ndarray:
     """
     rows = np.lib.stride_tricks.sliding_window_view(values[:-1], window)
     targets = values[window:]
-    try:
-        weights, _, rank, _ = np.linalg.lstsq(rows, targets, rcond=None)
-        if rank < window:
-            raise SingularNormalEquations(f"design rank {rank} below window {window}")
-        return weights
-    except SingularNormalEquations:
+    weights, _, rank, _ = np.linalg.lstsq(rows, targets, rcond=None)
+    if rank < window:
         gram = rows.T @ rows + AR_RIDGE * np.eye(window)
         return np.linalg.solve(gram, rows.T @ targets)
+    return weights
 
-
-def ar_train(t_train, window: int = AR_WINDOW,
-             retrain_every: int = AR_RETRAIN_EVERY) -> ArState:
-    values = series_values(t_train)
-    if values.size < 2 * window:
-        raise SeriesTooShort(
-            f"ar training needs at least {2 * window} samples, got {values.size}"
-        )
-    return ArState(
-        weights=_fit_ar_weights(values, window),
-        history=values.astype(float).tolist(),
-        window=window,
-        retrain_every=retrain_every,
-    )
-
-
-def ar_step(state: ArState, value: float) -> float:
-    """Signed one-step prediction residual; refits periodically."""
-    context = np.asarray(state.history[-state.window:])
-    residual = float(value) - float(state.weights @ context)
-    state.history.append(float(value))
-    state.counter += 1
-    if state.counter % state.retrain_every == 0:
-        state.weights = _fit_ar_weights(np.asarray(state.history), state.window)
-    return residual
-
-
-# Streaming adapters: fit(values) then step(value) -> ScoreRecord.
 
 class RpeDetector:
     """Streaming adapter around the robust-projection detector."""
 
     method = "rpe"
-    _projection = "robust"
 
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config if config is not None else DetectorConfig()
         self.state: DetectorState | None = None
 
     def fit(self, values) -> "RpeDetector":
-        self.state = detector.train(values, self.config, projection=self._projection)
+        self.state = detector.train(values, self.config)
         return self
 
     def step(self, value: float) -> ScoreRecord:
+        if self.state is None:
+            raise NotTrained("call fit() before step()")
         return detector.step(self.state, value)
 
 
 class SpeDetector(RpeDetector):
+    """The rpe detector with n_s = 0: every window is projected on all rows."""
+
     method = "spe"
-    _projection = "simple"
+
+    def __init__(self, config: DetectorConfig | None = None):
+        super().__init__(dataclasses.replace(config or DetectorConfig(), n_s=0))
 
 
-class IidDetector:
-    """Adapter reporting the probability-style score in cdf_score."""
+class _ReferenceDetector:
+    """Numbers the records of a baseline that keeps its own state."""
 
-    method = "iid"
-
-    def __init__(self, threshold: float = 0.95, buffer_len: int = IID_BUFFER_LEN):
+    def __init__(self, threshold: float):
         self.threshold = threshold
-        self.buffer_len = buffer_len
-        self.state: IidState | None = None
         self._index = 0
 
-    def fit(self, values) -> "IidDetector":
-        self.state = iid_train(values, buffer_len=self.buffer_len)
-        self._index = len(series_values(values))
-        return self
-
-    def step(self, value: float) -> ScoreRecord:
-        buf = np.asarray(self.state.buffer)
-        residual = float(value) - float(buf.mean())
-        score = iid_step(self.state, value)
+    def _record(self, residual: float, score: float) -> ScoreRecord:
         record = ScoreRecord(
             index=self._index,
             residual=residual,
@@ -189,9 +97,50 @@ class IidDetector:
         return record
 
 
-class ArDetector:
-    """Adapter wrapping the autoregressive residual in the shared record.
+class IidDetector(_ReferenceDetector):
+    """Gaussian scorer reporting the probability-style score in cdf_score.
 
+    The score is one minus the two-sided Gaussian p-value of the value under
+    the mean and population std of the buffer; zero buffer variance
+    degenerates to 1 when the value differs from the mean and 0 when it
+    equals it. The value enters the buffer after scoring, evicting the
+    oldest entry once the buffer is full.
+    """
+
+    method = "iid"
+
+    def __init__(self, threshold: float = 0.95, buffer_len: int = IID_BUFFER_LEN):
+        super().__init__(threshold)
+        self.buffer_len = buffer_len
+        self.buffer: deque | None = None
+
+    def fit(self, values) -> "IidDetector":
+        values = series_values(values)
+        if values.size == 0:
+            raise SeriesTooShort("iid training needs at least one sample")
+        self.buffer = deque(values[-self.buffer_len:].tolist(), maxlen=self.buffer_len)
+        self._index = values.size
+        return self
+
+    def step(self, value: float) -> ScoreRecord:
+        if self.buffer is None:
+            raise NotTrained("call fit() before step()")
+        buf = np.asarray(self.buffer)
+        mean = float(buf.mean())
+        std = float(buf.std())
+        v = float(value)
+        if std == 0.0:
+            score = 0.0 if v == mean else 1.0
+        else:
+            score = math.erf(abs(v - mean) / (std * math.sqrt(2.0)))
+        self.buffer.append(v)
+        return self._record(v - mean, score)
+
+
+class ArDetector(_ReferenceDetector):
+    """Autoregressive one-step predictor in the shared record.
+
+    Weights are re-fitted on the whole history every retrain_every steps.
     cdf_score ranks the residual magnitude against past magnitudes, seeded
     from the training residuals, mirroring the detector's memory semantics.
     """
@@ -200,18 +149,26 @@ class ArDetector:
 
     def __init__(self, threshold: float = 0.95, window: int = AR_WINDOW,
                  retrain_every: int = AR_RETRAIN_EVERY):
-        self.threshold = threshold
+        super().__init__(threshold)
         self.window = window
         self.retrain_every = retrain_every
-        self.state: ArState | None = None
+        self.weights: np.ndarray | None = None
+        self.history: list[float] = []
         self.memory = ResidualMemory()
-        self._index = 0
+        self.counter = 0
 
     def fit(self, values) -> "ArDetector":
-        self.state = ar_train(values, window=self.window, retrain_every=self.retrain_every)
-        train_values = np.asarray(self.state.history)
+        values = series_values(values)
+        if values.size < 2 * self.window:
+            raise SeriesTooShort(
+                f"ar training needs at least {2 * self.window} samples, got {values.size}"
+            )
+        self.weights = _fit_ar_weights(values, self.window)
+        self.history = values.astype(float).tolist()
+        self.counter = 0
+        train_values = np.asarray(self.history)
         rows = np.lib.stride_tricks.sliding_window_view(train_values[:-1], self.window)
-        residuals = train_values[self.window:] - rows @ self.state.weights
+        residuals = train_values[self.window:] - rows @ self.weights
         self.memory = ResidualMemory()
         for r in residuals:
             self.memory.append(abs(float(r)))
@@ -219,19 +176,17 @@ class ArDetector:
         return self
 
     def step(self, value: float) -> ScoreRecord:
-        residual = ar_step(self.state, value)
-        magnitude = abs(residual)
-        cdf = self.memory.cdf(magnitude)
-        self.memory.append(magnitude)
-        record = ScoreRecord(
-            index=self._index,
-            residual=residual,
-            abs_residual=magnitude,
-            cdf_score=cdf,
-            flagged=cdf > self.threshold,
-        )
-        self._index += 1
-        return record
+        if self.weights is None:
+            raise NotTrained("call fit() before step()")
+        context = np.asarray(self.history[-self.window:])
+        residual = float(value) - float(self.weights @ context)
+        self.history.append(float(value))
+        self.counter += 1
+        if self.counter % self.retrain_every == 0:
+            self.weights = _fit_ar_weights(np.asarray(self.history), self.window)
+        score = self.memory.cdf(abs(residual))
+        self.memory.append(abs(residual))
+        return self._record(residual, score)
 
 
 def make_detector(method: str, config: DetectorConfig | None = None):

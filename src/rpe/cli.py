@@ -97,10 +97,11 @@ def _cmd_detect(args) -> int:
             raise ValueError(f"--model is required for method {args.method}")
         model = load_model(args.model)
         config = _load_config(args.config, M1=model.M1) if args.config else DetectorConfig(M1=model.M1)
-        projection = "simple" if args.method == "spe" else "robust"
+        if args.method == "spe":
+            config = dataclasses.replace(config, n_s=0)
         if args.train:
             train_series = read_csv(args.train, impute_median=args.impute_median)
-            state = detector_mod.warm_start(model, train_series.values, config, projection)
+            state = detector_mod.warm_start(model, train_series.values, config)
             to_score = series.values
             offset = 0
         else:
@@ -108,7 +109,7 @@ def _cmd_detect(args) -> int:
             # the residual memory fills as scoring proceeds.
             if len(series) <= config.M1:
                 raise ValueError(f"input must exceed M1={config.M1} samples without --train")
-            state = detector_mod.warm_start(model, series.values[:config.M1], config, projection)
+            state = detector_mod.warm_start(model, series.values[:config.M1], config)
             to_score = series.values[config.M1:]
             offset = config.M1
         for i, value in enumerate(to_score):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,8 +137,6 @@ class DetectorState:
     history: list[float]
     counter: int = 0
     samples_seen: int = 0
-    projection: str = "robust"  # "robust" or "simple"
-    replacements: dict[int, float] = field(default_factory=dict)
 
 
 def _fit_model(values: np.ndarray, config: DetectorConfig) -> SubspaceModel:
@@ -146,56 +144,51 @@ def _fit_model(values: np.ndarray, config: DetectorConfig) -> SubspaceModel:
     return estimator(values, config.M1, rank_cap=config.rank_cap)
 
 
-def _project(model: SubspaceModel, window: np.ndarray, config: DetectorConfig,
-             projection: str) -> np.ndarray:
-    if projection == "simple" or config.n_s == 0:
+def _project(model: SubspaceModel, window: np.ndarray, n_s: int) -> np.ndarray:
+    if n_s == 0:
         a_hat, _ = simple_projection(model.U, window)
         return a_hat
-    return robust_projection(model.U, window, config.n_s).a_hat
+    return robust_projection(model.U, window, n_s).a_hat
 
 
-def _seed_memory(state: DetectorState) -> None:
-    """Replay every complete training window through the scoring steps."""
-    model = state.model
-    windows = build_trajectory(np.asarray(state.history), state.config.M1).data
+def _seeded_state(model: SubspaceModel, values: np.ndarray,
+                  config: DetectorConfig) -> DetectorState:
+    """Keep the last t_max values as history, then replay every complete
+    window of it through the scoring steps to seed the residual memory."""
+    state = DetectorState(
+        config=config,
+        model=model,
+        memory=ResidualMemory(cap=config.memory_cap),
+        history=values[-config.t_max:].astype(float).tolist(),
+        samples_seen=int(values.size),
+    )
+    windows = build_trajectory(np.asarray(state.history), config.M1).data
     u_last = model.U[-1, :]
     for j in range(windows.shape[1]):
         window = windows[:, j]
-        a_hat = _project(model, window, state.config, state.projection)
+        a_hat = _project(model, window, config.n_s)
         state.memory.append(abs(window[-1] - float(a_hat @ u_last)))
+    return state
 
 
-def train(t_train, config: DetectorConfig | None = None,
-          projection: str = "robust") -> DetectorState:
+def train(t_train, config: DetectorConfig | None = None) -> DetectorState:
     """Fit the subspace model and seed the residual memory.
 
     Only the most recent t_max training samples are kept. Requires at least
-    2 * M1 samples.
+    2 * M1 samples. With config.n_s = 0 every projection is the plain one
+    (the spe baseline).
     """
     config = config if config is not None else DetectorConfig()
-    if projection not in ("robust", "simple"):
-        raise ValueError("projection must be 'robust' or 'simple'")
     values = series_values(t_train)
     if values.size < 2 * config.M1:
         raise SeriesTooShort(
             f"training needs at least {2 * config.M1} samples, got {values.size}"
         )
-    history = values[-config.t_max:].astype(float).tolist()
-    state = DetectorState(
-        config=config,
-        model=_fit_model(np.asarray(history), config),
-        memory=ResidualMemory(cap=config.memory_cap),
-        history=history,
-        counter=0,
-        samples_seen=int(values.size),
-        projection=projection,
-    )
-    _seed_memory(state)
-    return state
+    return _seeded_state(_fit_model(values[-config.t_max:], config), values, config)
 
 
-def warm_start(model: SubspaceModel, t_train, config: DetectorConfig | None = None,
-               projection: str = "robust") -> DetectorState:
+def warm_start(model: SubspaceModel, t_train,
+               config: DetectorConfig | None = None) -> DetectorState:
     """Build a streaming state around an existing model.
 
     The training series seeds the history buffer and residual memory, but the
@@ -210,17 +203,7 @@ def warm_start(model: SubspaceModel, t_train, config: DetectorConfig | None = No
         raise SeriesTooShort(
             f"warm start needs at least {config.M1} samples, got {values.size}"
         )
-    state = DetectorState(
-        config=config,
-        model=model,
-        memory=ResidualMemory(cap=config.memory_cap),
-        history=values[-config.t_max:].astype(float).tolist(),
-        counter=0,
-        samples_seen=int(values.size),
-        projection=projection,
-    )
-    _seed_memory(state)
-    return state
+    return _seeded_state(model, values, config)
 
 
 def step(state: DetectorState, value: float) -> ScoreRecord:
@@ -239,7 +222,7 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
         raise NonFiniteValue(index, "non-finite stream value")
 
     window = np.asarray(state.history[-(config.M1 - 1):] + [value])
-    a_hat = _project(state.model, window, config, state.projection)
+    a_hat = _project(state.model, window, config.n_s)
     reconstruction = float(a_hat @ state.model.U[-1, :])
     residual = value - reconstruction
     magnitude = abs(residual)
@@ -255,7 +238,6 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
     if flagged and config.replace_anomalous_values:
         replaced_value = reconstruction
         state.history[-1] = reconstruction
-        state.replacements[index] = reconstruction
 
     if state.counter % config.retrain_every == 0 and len(state.history) < config.retrain_stop_len:
         state.history = state.history[-config.t_max:]
@@ -273,5 +255,4 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
 
 def score_series(state: DetectorState, t) -> list[ScoreRecord]:
     """Run step() over every value of the series in order."""
-    values = series_values(t) if not isinstance(t, (list, tuple)) else np.asarray(t, dtype=float)
-    return [step(state, float(v)) for v in values]
+    return [step(state, float(v)) for v in series_values(t)]

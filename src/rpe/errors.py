@@ -59,10 +59,6 @@ class NotTrained(RpeError):
     """The detector state has no fitted model."""
 
 
-class SingularNormalEquations(RpeError):
-    """Autoregressive fit hit a singular design; callers fall back to ridge."""
-
-
 class DidNotConverge(UserWarning):
     """Iterative solver hit its iteration cap.
 

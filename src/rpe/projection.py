@@ -168,15 +168,3 @@ def l1_projection_oracle(
     )
     return a
 
-
-def residual_of_last(U: np.ndarray, a_hat: np.ndarray, v: float) -> float:
-    """Signed residual of the newest sample: v minus its reconstruction.
-
-    The reconstruction is the inner product of the coefficients with the last
-    row of the basis, i.e. the model's value for the window's final slot.
-    """
-    U = np.asarray(U, dtype=float)
-    a_hat = np.asarray(a_hat, dtype=float)
-    if a_hat.shape != (U.shape[1],):
-        raise DimensionMismatch("coefficient length must equal the basis rank")
-    return float(v - a_hat @ U[-1, :])

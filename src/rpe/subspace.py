@@ -142,21 +142,6 @@ def column_outlyingness(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def outlier_columns(t, window_size: int, drop_percent: float = 5.0,
-                    rank_cap: int = DEFAULT_RANK_CAP) -> np.ndarray:
-    """Indices of the trajectory columns a column-wise fit would discard."""
-    values = series_values(t)
-    _require_length(values, window_size)
-    X = build_trajectory(values, window_size).data
-    left, spectrum = _svd(X)
-    r = select_rank(spectrum, cap=rank_cap)
-    scores = column_outlyingness(X, left[:, :r])
-    n_drop = _count(drop_percent, X.shape[1])
-    if n_drop <= 0:
-        return np.empty(0, dtype=int)
-    return np.sort(np.argsort(-scores, kind="stable")[:n_drop])
-
-
 def estimate_columnwise(t, window_size: int, drop_percent: float = 5.0,
                         rank_cap: int = DEFAULT_RANK_CAP) -> SubspaceModel:
     """Drop the columns worst explained by a provisional basis, then re-fit."""

@@ -108,16 +108,6 @@ def trajectory_to_series(tm: TrajectoryMatrix) -> np.ndarray:
     return np.concatenate([first_row, last_col_tail])
 
 
-def last_window(t, window_size: int) -> np.ndarray:
-    """Return the final window_size samples as a vector."""
-    values = series_values(t)
-    if window_size > values.size:
-        raise WindowTooLarge(
-            f"window_size {window_size} exceeds series length {values.size}"
-        )
-    return values[-window_size:].copy()
-
-
 # CSV contract: one sample per row, columns timestamp,value[,label]; a header
 # row is tolerated and detected by a non-numeric value field.
 

@@ -14,16 +14,10 @@ from rpe.baselines import (
     IidDetector,
     RpeDetector,
     SpeDetector,
-    ar_step,
-    ar_train,
-    iid_step,
-    iid_train,
     make_detector,
-    spe_step,
-    spe_train,
 )
-from rpe.detector import DetectorConfig, ScoreRecord, score_series, step, train
-from rpe.errors import SeriesTooShort
+from rpe.detector import DetectorConfig, ScoreRecord, score_series, train
+from rpe.errors import NotTrained, SeriesTooShort
 from rpe.synth import SynthSpec, anomaly_scale, generate_clean
 from rpe.trajectory import TimeSeries
 
@@ -39,11 +33,11 @@ def clean():
 
 class TestSpe:
     def test_is_plain_projection_run_of_shared_pipeline(self, clean):
-        spe = spe_train(series(clean.values[:150]))
+        spe = SpeDetector().fit(series(clean.values[:150]))
         robust_zero = train(series(clean.values[:150]), DetectorConfig(n_s=0))
         a = [
             (r.residual, r.cdf_score, r.flagged)
-            for r in score_series(spe, clean.values[150:].tolist())
+            for r in (spe.step(v) for v in clean.values[150:].tolist())
         ]
         b = [
             (r.residual, r.cdf_score, r.flagged)
@@ -52,85 +46,93 @@ class TestSpe:
         assert a == b  # bit-identical, not merely close
 
     def test_exclusion_budget_does_not_affect_plain_projection(self, clean):
-        # n_s only matters through the rank cap; at this window length the
-        # cap is 10 either way, so the runs coincide exactly.
+        # spe replaces n_s by 0, so the configured budget never reaches the
+        # projection or the rank cap; the runs coincide exactly.
         runs = []
         for n_s in (5, 9):
-            st = spe_train(series(clean.values[:150]), DetectorConfig(n_s=n_s))
-            runs.append(
-                [(r.residual, r.flagged) for r in score_series(st, clean.values[150:].tolist())]
-            )
+            det = SpeDetector(DetectorConfig(n_s=n_s)).fit(series(clean.values[:150]))
+            runs.append([(r.residual, r.flagged)
+                         for r in (det.step(v) for v in clean.values[150:].tolist())])
         assert runs[0] == runs[1]
 
     def test_clean_training_window_scores_near_zero(self, clean):
-        st = spe_train(series(clean.values[:150]))
-        rec = spe_step(st, float(clean.values[150]))
+        det = SpeDetector().fit(series(clean.values[:150]))
+        rec = det.step(float(clean.values[150]))
         assert rec.abs_residual < 3.0  # same scale as the noise, not the signal
 
-    def test_step_is_the_shared_step(self, clean):
-        st = spe_train(series(clean.values[:150]))
-        st2 = spe_train(series(clean.values[:150]))
-        assert spe_step(st, 1.0) == step(st2, 1.0)
+    def test_rank_cap_follows_the_zero_budget(self):
+        # rank_cap = min(10, M1 - n_s): where M1 - n_s < 10, spe may keep a
+        # higher rank than the rpe config it was built from.
+        config = DetectorConfig(M1=12, n_s=3)
+        det = SpeDetector(config)
+        assert (det.config.n_s, det.config.rank_cap) == (0, 10)
+        assert (config.n_s, config.rank_cap) == (3, 9)  # the caller's config is untouched
 
 
 class TestIid:
     def test_buffer_keeps_most_recent_values(self, clean):
-        st = iid_train(series(clean.values[:150]))
-        assert len(st.buffer) == IID_BUFFER_LEN
-        np.testing.assert_array_equal(np.asarray(st.buffer), clean.values[50:150])
+        det = IidDetector().fit(series(clean.values[:150]))
+        assert len(det.buffer) == IID_BUFFER_LEN
+        np.testing.assert_array_equal(np.asarray(det.buffer), clean.values[50:150])
 
     def test_score_at_the_mean_is_zero(self, clean):
-        st = iid_train(series(clean.values[:150]))
-        mean = float(np.asarray(st.buffer).mean())
-        assert iid_step(copy.deepcopy(st), mean) == 0.0
+        det = IidDetector().fit(series(clean.values[:150]))
+        mean = float(np.asarray(det.buffer).mean())
+        rec = copy.deepcopy(det).step(mean)
+        assert rec.cdf_score == 0.0
+        assert rec.residual == 0.0
 
     def test_score_matches_gaussian_two_sided_tail(self, clean):
-        st = iid_train(series(clean.values[:150]))
-        buf = np.asarray(st.buffer)
+        det = IidDetector().fit(series(clean.values[:150]))
+        buf = np.asarray(det.buffer)
         mean, std = float(buf.mean()), float(buf.std())  # population std
-        got = iid_step(copy.deepcopy(st), mean + 1.96 * std)
+        got = copy.deepcopy(det).step(mean + 1.96 * std).cdf_score
         assert got == pytest.approx(math.erf(1.96 / math.sqrt(2.0)), abs=1e-12)
         assert got == pytest.approx(0.9500042097, abs=1e-9)
 
     def test_degenerate_constant_buffer(self):
-        st = iid_train(series(np.full(50, 2.0)))
-        assert iid_step(copy.deepcopy(st), 2.0) == 0.0
-        assert iid_step(copy.deepcopy(st), 2.5) == 1.0
+        det = IidDetector().fit(series(np.full(50, 2.0)))
+        assert copy.deepcopy(det).step(2.0).cdf_score == 0.0
+        assert copy.deepcopy(det).step(2.5).cdf_score == 1.0
 
     def test_value_enters_buffer_after_scoring(self):
-        st = iid_train(series(np.arange(10.0)))
-        n = len(st.buffer)
-        iid_step(st, 100.0)
-        assert len(st.buffer) == n + 1
-        assert st.buffer[-1] == 100.0
+        det = IidDetector().fit(series(np.arange(10.0)))
+        n = len(det.buffer)
+        det.step(100.0)
+        assert len(det.buffer) == n + 1
+        assert det.buffer[-1] == 100.0
 
     def test_empty_training_rejected(self):
         with pytest.raises(SeriesTooShort):
-            iid_train(np.array([], dtype=float))  # raw arrays are accepted too
+            IidDetector().fit(np.array([], dtype=float))  # raw arrays are accepted too
+
+
+def ar_residuals(det: ArDetector, values) -> list[float]:
+    return [det.step(float(v)).residual for v in values]
 
 
 class TestAr:
     def test_linear_trend_is_predicted_exactly(self):
         ramp = np.arange(260, dtype=float) * 0.5 + 3.0
-        st = ar_train(series(ramp[:200]))
-        residuals = [ar_step(st, float(v)) for v in ramp[200:]]
+        det = ArDetector().fit(series(ramp[:200]))
+        residuals = ar_residuals(det, ramp[200:])
         assert max(abs(r) for r in residuals) < 1e-6
 
     def test_constant_series(self):
-        st = ar_train(series(np.full(100, 4.0)))
-        assert abs(ar_step(st, 4.0)) < 1e-6
+        det = ArDetector().fit(series(np.full(100, 4.0)))
+        assert abs(det.step(4.0).residual) < 1e-6
 
     def test_window_and_retrain_knobs(self):
-        st = ar_train(series(np.sin(np.arange(120.0))), window=10, retrain_every=7)
-        assert st.window == 10
-        assert st.weights.shape == (10,)
+        det = ArDetector(window=10, retrain_every=7).fit(series(np.sin(np.arange(120.0))))
+        assert det.window == 10
+        assert det.weights.shape == (10,)
         for k in range(7):
-            ar_step(st, 0.0)
-        assert st.counter == 7  # retrain happened without error
+            det.step(0.0)
+        assert det.counter == 7  # retrain happened without error
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
-            ar_train(series(np.ones(2 * AR_WINDOW - 1)))
+            ArDetector().fit(series(np.ones(2 * AR_WINDOW - 1)))
 
     def test_spike_residual_smears_into_following_predictions(self):
         # The corrupted value stays in the regression context for a full
@@ -139,12 +141,12 @@ class TestAr:
         # replacing flagged values.
         base = generate_clean(SynthSpec(length=300, seed=3))
         f = anomaly_scale(base.values[:150])
-        spiked = ar_train(series(base.values[:150]))
+        spiked = ArDetector().fit(series(base.values[:150]))
         stream = base.values[150:].copy()
         stream[0] += f
-        spiked_resid = [ar_step(spiked, float(v)) for v in stream]
-        reference = ar_train(series(base.values[:150]))
-        clean_resid = [ar_step(reference, float(v)) for v in base.values[150:]]
+        spiked_resid = ar_residuals(spiked, stream)
+        reference = ArDetector().fit(series(base.values[:150]))
+        clean_resid = ar_residuals(reference, base.values[150:])
         noise_floor = float(np.median(np.abs(clean_resid)))
         post = np.abs(spiked_resid[1:31])
         assert abs(spiked_resid[0]) > 0.8 * f  # the spike itself is seen
@@ -163,6 +165,11 @@ class TestAdapters:
         assert isinstance(rec.flagged, bool)
         nxt = det.step(float(clean.values[151]))
         assert nxt.index == 151
+
+    @pytest.mark.parametrize("method", ["rpe", "spe", "iid", "ar"])
+    def test_step_before_fit_is_typed(self, method):
+        with pytest.raises(NotTrained):
+            make_detector(method).step(1.0)
 
     def test_factory_classes(self):
         assert isinstance(make_detector("rpe"), RpeDetector)

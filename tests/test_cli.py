@@ -162,6 +162,21 @@ class TestDetect:
         assert code == 0
         assert len(read_scores(out)) == 270
 
+    def test_spe_method_is_the_zero_budget_config(self, tmp_path, series_csv, model_json):
+        spiked = generate_clean(SynthSpec(length=150, seed=43)).values.copy()
+        spiked[100] += 30.0
+        follow = tmp_path / "spiked.csv"
+        write_csv(follow, TimeSeries(values=spiked))
+        zero_budget = write_json(tmp_path / "n_s0.json", {"n_s": 0})
+        outputs = {}
+        for name, extra in (("spe", ["--method", "spe"]), ("n_s0", ["--config", zero_budget]),
+                            ("rpe", [])):
+            outputs[name] = tmp_path / f"{name}.csv"
+            assert cli.main(["detect", "--model", str(model_json), "--train", str(series_csv),
+                             "--input", str(follow), "--output", str(outputs[name])] + extra) == 0
+        assert outputs["spe"].read_bytes() == outputs["n_s0"].read_bytes()
+        assert outputs["spe"].read_bytes() != outputs["rpe"].read_bytes()
+
     @pytest.mark.parametrize("method", ["iid", "ar"])
     def test_reference_methods_require_training_csv(self, tmp_path, series_csv,
                                                     method, capsys):

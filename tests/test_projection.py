@@ -16,7 +16,6 @@ from rpe.errors import (
 )
 from rpe.projection import (
     l1_projection_oracle,
-    residual_of_last,
     robust_projection,
     simple_projection,
 )
@@ -216,10 +215,8 @@ class TestResidualOfLast:
         a = np.array([1.0, 2.0])
         x = u @ a
         result = robust_projection(u, x, 2)
-        assert abs(residual_of_last(u, result.a_hat, x[-1])) < 1e-10
-        assert residual_of_last(u, result.a_hat, x[-1]) == pytest.approx(
-            result.residual[-1]
-        )
+        assert abs(x[-1] - result.a_hat @ u[-1]) < 1e-10
+        assert x[-1] - result.a_hat @ u[-1] == pytest.approx(result.residual[-1])
 
     def test_anomaly_on_last_element(self):
         u = dct_frame(30, (0, 1, 2))
@@ -229,13 +226,13 @@ class TestResidualOfLast:
         x = u @ a
         x[-1] += tau
         result = robust_projection(u, x, 5)
-        assert residual_of_last(u, result.a_hat, x[-1]) == pytest.approx(tau, abs=1e-8)
+        assert x[-1] - result.a_hat @ u[-1] == pytest.approx(tau, abs=1e-8)
 
     def test_budget_zero_clean(self):
         u = dct_frame(8, (2,))
         x = u @ np.array([3.0])
         result = robust_projection(u, x, 0)
-        assert abs(residual_of_last(u, result.a_hat, x[-1])) < 1e-12
+        assert abs(x[-1] - result.a_hat @ u[-1]) < 1e-12
 
 
 class TestNoiseStatistics:

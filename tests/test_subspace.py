@@ -2,6 +2,7 @@
 estimators, contamination behavior, and model persistence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from scipy.linalg import subspace_angles
 from rpe.errors import AllColumnsDropped, AllZeroSpectrum, SeriesTooShort
 from rpe.subspace import (
     SubspaceModel,
+    column_outlyingness,
     estimate_columnwise,
     estimate_elementwise,
     estimate_simple,
     load_model,
     model_from_dict,
     model_to_dict,
-    outlier_columns,
     save_model,
     select_rank,
 )
@@ -169,7 +170,12 @@ class TestEstimateColumnwise:
     def test_single_spike_columns_all_dropped(self):
         vals = np.cos(2 * np.pi * np.arange(500) / 20.0)
         vals[50] += 100.0
-        dropped = outlier_columns(TimeSeries(values=vals), 30, drop_percent=10.0)
+        # The drop rule of estimate_columnwise at drop_percent=10: the 10 %
+        # of columns the provisional basis explains worst.
+        x = build_trajectory(TimeSeries(values=vals), 30).data
+        left, spectrum, _ = np.linalg.svd(x, full_matrices=False)
+        scores = column_outlyingness(x, left[:, : select_rank(spectrum)])
+        dropped = np.argsort(-scores, kind="stable")[: math.ceil(0.10 * x.shape[1])]
         covering = set(range(21, 51))  # columns whose window contains index 50
         assert covering <= set(dropped)
 

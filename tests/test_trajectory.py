@@ -7,7 +7,6 @@ from rpe.errors import NonFiniteValue, WindowTooLarge
 from rpe.trajectory import (
     TimeSeries,
     build_trajectory,
-    last_window,
     read_csv,
     trajectory_to_series,
     write_csv,
@@ -91,29 +90,7 @@ class TestBuildTrajectory:
         vals = np.random.default_rng(1).standard_normal(25)
         t = TimeSeries(values=vals)
         tm = build_trajectory(t, 8)
-        np.testing.assert_array_equal(tm.data[:, -1], last_window(t, 8))
-
-
-class TestLastWindow:
-    def test_small(self):
-        np.testing.assert_array_equal(
-            last_window(TimeSeries(values=np.array([1.0, 2, 3, 4])), 2), [3.0, 4.0]
-        )
-
-    def test_single(self):
-        np.testing.assert_array_equal(
-            last_window(TimeSeries(values=np.array([7.0])), 1), [7.0]
-        )
-
-    def test_last_element_is_final_value(self):
-        vals = np.zeros(30)
-        vals[-1] = 9.0
-        w = last_window(TimeSeries(values=vals), 30)
-        assert w[-1] == 9.0
-
-    def test_too_large(self):
-        with pytest.raises(WindowTooLarge):
-            last_window(TimeSeries(values=np.array([1.0])), 2)
+        np.testing.assert_array_equal(tm.data[:, -1], t.values[-8:])
 
 
 class TestCsv:
