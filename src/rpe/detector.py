@@ -16,22 +16,27 @@ then gets one score record:
 4. scores above the threshold flag the stamp, and optionally the stored value
    is replaced by its reconstruction so one anomaly cannot contaminate the
    windows of its successors;
-5. periodically the model is re-fitted to the accumulated history until the
-   buffer outgrows a stop length, after which the basis is considered stable.
+5. every retrain_every steps the model is re-fitted to the kept history,
+   until the history's logical length (the values kept at training plus
+   those added since, cut back to t_max by each re-fit) reaches a stop
+   length, after which the basis is considered stable.
 
-The residual memory persists across re-fits. Scores compare a residual with
-the past, so they are meaningful immediately after training and invariant to
-the residual scale.
+The history is a float64 buffer holding the last t_max stored values, so the
+newest window is a slice of it and the history does not grow with the stream.
+The residual memory is a sorted multiset with O(log n) insert and rank, and
+it persists across re-fits. Scores compare a residual with the past, so they
+are meaningful immediately after training and invariant to the residual
+scale.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from sortedcontainers import SortedList
 
 from .errors import NonFiniteValue, NotTrained, SeriesTooShort
 from .projection import robust_projection, simple_projection
@@ -43,9 +48,12 @@ from .trajectory import build_trajectory, series_values
 class DetectorConfig:
     """Knobs for training and streaming.
 
-    retrain_stop_len defaults to 10 * M1: once the history buffer reaches it,
-    periodic re-fitting stops. memory_cap bounds the residual memory with
-    oldest-first eviction; None keeps everything.
+    t_max is the number of stored values the history buffer keeps. The
+    refit rule reads the history's logical length instead: the values kept at
+    training plus every value added since, cut back to at most t_max by each
+    refit. retrain_stop_len defaults to 10 * M1; once the logical length
+    reaches it, periodic re-fitting stops. memory_cap bounds the residual
+    memory with oldest-first eviction; None keeps everything.
     """
 
     M1: int = 30
@@ -83,26 +91,33 @@ class DetectorConfig:
 
 
 class ResidualMemory:
-    """Multiset of past residual magnitudes with strict-less empirical CDF."""
+    """Multiset of past residual magnitudes with strict-less empirical CDF.
+
+    A sorted list of blocks (sortedcontainers.SortedList) makes insert, rank
+    and eviction O(log n); a deque keeps the insertion order for eviction.
+    A NaN magnitude counts in the length but is below no value.
+    """
 
     def __init__(self, cap: int | None = None):
-        self._sorted: list[float] = []
+        self._sorted = SortedList()
         self._order: deque[float] = deque()
         self._cap = cap
 
     def append(self, value: float) -> None:
         value = float(value)
-        insort(self._sorted, value)
         self._order.append(value)
+        if value == value:  # a NaN is below nothing, so it stays out of the ranks
+            self._sorted.add(value)
         if self._cap is not None and len(self._order) > self._cap:
             oldest = self._order.popleft()
-            del self._sorted[bisect_left(self._sorted, oldest)]
+            if oldest == oldest:
+                self._sorted.remove(oldest)
 
     def cdf(self, value: float) -> float:
         """Fraction of remembered magnitudes strictly below value."""
-        if not self._sorted:
+        if not self._order:
             return 0.0
-        return bisect_left(self._sorted, float(value)) / len(self._sorted)
+        return self._sorted.bisect_left(float(value)) / len(self._order)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -117,8 +132,8 @@ class ScoreRecord:
 
     index is the absolute ordinal of the sample in the stream, counting the
     training samples first. replaced_value is the reconstruction written back
-    into the history buffer, present only when the stamp was flagged and
-    replacement is enabled.
+    into the history buffer in place of the arriving value, present only when
+    the stamp was flagged and replacement is enabled.
     """
 
     index: int
@@ -129,14 +144,61 @@ class ScoreRecord:
     replaced_value: float | None = None
 
 
-@dataclass
+# Spare slots past t_max in the history buffer; when they run out the last
+# t_max values move back to the front.
+HISTORY_SLACK = 1024
+
+
 class DetectorState:
-    config: DetectorConfig
-    model: SubspaceModel | None
-    memory: ResidualMemory
-    history: list[float]
-    counter: int = 0
-    samples_seen: int = 0
+    """What a stream carries from one step to the next.
+
+    history is given as a sequence of stored values, oldest first; only the
+    last config.t_max are kept. Reading state.history returns a copy of the
+    kept values.
+    """
+
+    def __init__(self, config: DetectorConfig, model: SubspaceModel | None,
+                 memory: ResidualMemory, history, counter: int = 0,
+                 samples_seen: int = 0):
+        self.config = config
+        self.model = model
+        self.memory = memory
+        self.counter = counter
+        self.samples_seen = samples_seen
+        kept = np.asarray(history, dtype=float)[-config.t_max:]
+        self._buffer = np.empty(config.t_max + HISTORY_SLACK)
+        self._buffer[:kept.size] = kept
+        self._start, self._end = 0, kept.size
+        # The logical length the refit rule reads (see DetectorConfig).
+        self._logical_len = len(history)
+
+    @property
+    def history(self) -> np.ndarray:
+        return self._buffer[self._start:self._end].copy()
+
+    def _window(self, value: float) -> np.ndarray:
+        """The newest window: the last M1 - 1 kept values, then value.
+
+        value goes into the free slot past the kept values; nothing is
+        committed until _push.
+        """
+        end = self._end
+        self._buffer[end] = value
+        return self._buffer[max(self._start, end + 1 - self.config.M1):end + 1]
+
+    def _push(self, value: float) -> None:
+        """Commit value as the newest kept value."""
+        buffer, end = self._buffer, self._end
+        buffer[end] = value
+        end += 1
+        self._logical_len += 1
+        if end - self._start > self.config.t_max:
+            self._start += 1
+        if end == buffer.size:
+            kept = end - self._start
+            buffer[:kept] = buffer[self._start:end]
+            self._start, end = 0, kept
+        self._end = end
 
 
 def _fit_model(values: np.ndarray, config: DetectorConfig) -> SubspaceModel:
@@ -159,10 +221,10 @@ def _seeded_state(model: SubspaceModel, values: np.ndarray,
         config=config,
         model=model,
         memory=ResidualMemory(cap=config.memory_cap),
-        history=values[-config.t_max:].astype(float).tolist(),
+        history=values[-config.t_max:],
         samples_seen=int(values.size),
     )
-    windows = build_trajectory(np.asarray(state.history), config.M1).data
+    windows = build_trajectory(state.history, config.M1).data
     u_last = model.U[-1, :]
     for j in range(windows.shape[1]):
         window = windows[:, j]
@@ -221,13 +283,11 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
     if not math.isfinite(value):
         raise NonFiniteValue(index, "non-finite stream value")
 
-    window = np.asarray(state.history[-(config.M1 - 1):] + [value])
-    a_hat = _project(state.model, window, config.n_s)
+    a_hat = _project(state.model, state._window(value), config.n_s)
     reconstruction = float(a_hat @ state.model.U[-1, :])
     residual = value - reconstruction
     magnitude = abs(residual)
 
-    state.history.append(value)
     state.counter += 1
     state.samples_seen += 1
     cdf_score = state.memory.cdf(magnitude)  # before remembering this one
@@ -237,11 +297,11 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
     replaced_value = None
     if flagged and config.replace_anomalous_values:
         replaced_value = reconstruction
-        state.history[-1] = reconstruction
+    state._push(value if replaced_value is None else replaced_value)
 
-    if state.counter % config.retrain_every == 0 and len(state.history) < config.retrain_stop_len:
-        state.history = state.history[-config.t_max:]
-        state.model = _fit_model(np.asarray(state.history), config)
+    if state.counter % config.retrain_every == 0 and state._logical_len < config.retrain_stop_len:
+        state._logical_len = min(state._logical_len, config.t_max)
+        state.model = _fit_model(state.history, config)
 
     return ScoreRecord(
         index=index,

@@ -14,6 +14,7 @@ Three ways to explain a window x with an orthonormal basis U:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,9 +79,10 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
     if n_s < 0 or n_s + r > m:
         raise BadBudget(f"n_s={n_s} with rank {r} and {m} rows")
     a0 = U.T @ x
-    prelim = np.abs(x - U @ a0)
-    order = np.argsort(prelim, kind="stable")
-    kept = np.sort(order[: m - n_s])
+    prelim = x - U @ a0
+    np.abs(prelim, out=prelim)
+    kept = prelim.argsort(kind="stable")[: m - n_s]
+    kept.sort()
     if n_s == 0:
         a_hat = a0  # full-row least squares on an orthonormal basis
     else:
@@ -105,27 +107,41 @@ def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarra
     np.linalg.qr and scipy.linalg.solve_triangular give them, so the
     coefficients are bit-identical to those wrappers at under half their call
     overhead: Q is made C-contiguous before the product, and the triangular
-    solve reads R^T from the lower triangle of the factor (dtrtrs with
-    lower=1, trans=1, as solve_triangular does for a C-ordered R).
+    solve reads R^T from the lower triangle of an F-ordered copy of the
+    factor's leading block (dtrtrs with lower=1, trans=1, as solve_triangular
+    does for a C-ordered R).
     """
     r = U.shape[1]
-    qr, tau, _, info = dgeqrf(U[kept])
+    qr, tau, _, info = dgeqrf(U.take(kept, axis=0))
     _check_info("dgeqrf", info)
-    if np.abs(qr.diagonal()).min() <= RANK_TOL:
+    diagonal = qr.diagonal().tolist()
+    # Python's min can skip a NaN that numpy's min propagates (and nan <= tol
+    # is false), so a diagonal holding a NaN is ruled out by hand: it is not
+    # rank deficient.
+    if min(map(abs, diagonal)) <= RANK_TOL and not any(map(math.isnan, diagonal)):
         raise RankDeficient(
             f"kept rows span less than rank {r} (QR diagonal below {RANK_TOL})"
         )
-    q, _, info = dorgqr(qr, tau)
+    # R is copied out, in the layout dtrtrs reads, before dorgqr overwrites
+    # the factor with Q.
+    r_block = qr[:r].T.copy(order="F")
+    q, _, info = dorgqr(qr, tau, overwrite_a=1)
     _check_info("dorgqr", info)
     rhs = np.ascontiguousarray(q).T @ x[kept]
     # R and Q^T x must be finite: the condition of scipy's check_finite, so
-    # the same windows fail. rmat holds reflector entries below its diagonal,
-    # so when the whole block is not finite its upper triangle (R) decides.
-    rmat = qr[:r]
-    r_finite = np.isfinite(rmat).all() or np.isfinite(rmat[np.triu_indices(r)]).all()
-    if not (r_finite and np.isfinite(rhs).all()):
-        raise NonFiniteValue(_blamed_row(U, x, kept), "non-finite number in the kept-row solve")
-    a_hat, info = dtrtrs(rmat.T, rhs, lower=1, trans=1)
+    # the same windows fail. The cheap test is sufficient: a finite leading
+    # block holds a finite R, and a sum of Python floats is finite only if
+    # every term is (it overflows to inf without a warning). Only when it
+    # fails does the exact test run: the block also holds reflector entries
+    # below R's diagonal, so R's own triangle decides.
+    if not (np.count_nonzero(np.isfinite(r_block)) == r * r
+            and math.isfinite(sum(rhs.tolist()))):
+        r_finite = np.isfinite(r_block[np.tril_indices(r)]).all()
+        if not (r_finite and np.isfinite(rhs).all()):
+            raise NonFiniteValue(
+                _blamed_row(U, x, kept), "non-finite number in the kept-row solve"
+            )
+    a_hat, info = dtrtrs(r_block, rhs, lower=1, trans=1)
     _check_info("dtrtrs", info)
     return a_hat
 

@@ -205,6 +205,48 @@ class TestStep:
             step(st, float(v))
         assert st.model is model_before
 
+    def test_refit_stop_rule_counts_values_since_training(self):
+        # The stop rule reads the history's logical length (the values kept
+        # at training plus those added since, cut back to t_max at each
+        # refit), not the size of the bounded history buffer.
+        clean = generate_clean(SynthSpec(length=2600, seed=1))
+        cfg = DetectorConfig()
+        # A default train on t_max samples starts at the stop length: no
+        # step ever refits, while the buffer stays at t_max values.
+        st = train(series(clean.values[:300]), config=cfg)
+        model = st.model
+        for v in clean.values[300:2300]:
+            step(st, float(v))
+            assert st.model is model
+            assert len(st.history) <= cfg.t_max
+        # A warm start on M1 samples (the CLI cold start) starts at M1 = 30:
+        # refits at steps 100 and 200 (130 and 230 < 300), none from 300 on.
+        st = warm_start(model, series(clean.values[:cfg.M1]), config=cfg)
+        models = [st.model]
+        for v in clean.values[cfg.M1:cfg.M1 + 1000]:
+            step(st, float(v))
+            if st.model is not models[-1]:
+                models.append(st.model)
+                assert st.counter in (100, 200)
+        assert len(models) == 3
+        assert models[0] is model
+        # With t_max below the stop length the buffer stays short, but the
+        # logical length still reaches it: 200 + 100 values, no refit.
+        st = train(series(clean.values[:200]), config=DetectorConfig(t_max=200))
+        model = st.model
+        for v in clean.values[200:500]:
+            step(st, float(v))
+        assert st.model is model
+        # Each refit cuts the logical length back to t_max, so with
+        # t_max + retrain_every below the stop length every 100th step refits.
+        st = train(series(clean.values[:100]), config=DetectorConfig(t_max=100))
+        refits = 0
+        for v in clean.values[100:1100]:
+            model = st.model
+            step(st, float(v))
+            refits += st.model is not model
+        assert refits == 10
+
 
 def snapshot(st: DetectorState) -> tuple:
     return (list(st.history), st.counter, st.samples_seen, st.memory.values(), st.model)
@@ -284,11 +326,16 @@ class TestTwoAnomalyStream:
     def test_replacement_hygiene(self, run):
         clean, f, stream = run
         st, by = self.score(clean, stream)
-        assert st.history[171] == by[171].replaced_value
-        assert st.history[176] == by[176].replaced_value
+        assert by[171].replaced_value is not None
+        assert by[176].replaced_value is not None
+        # The value stored for each stamp: its reconstruction when replaced.
+        stored = np.array([
+            stream[i - 150] if by[i].replaced_value is None else by[i].replaced_value
+            for i in range(150, 300)
+        ])
+        assert np.array_equal(st.history[-stored.size:], stored)
         # The stored history tracks the clean series, not the anomalous one.
-        hist = np.asarray(st.history)
-        assert np.abs(hist - clean.values[: hist.size]).max() < 0.2 * f
+        assert np.abs(stored - clean.values[150:]).max() < 0.2 * f
         assert {i for i, r in by.items() if r.replaced_value is not None} >= {171, 176}
 
     def test_simple_projection_smears_across_the_window(self, run):
@@ -302,6 +349,24 @@ class TestTwoAnomalyStream:
         robust_mid = max(robust_by[i].abs_residual for i in range(172, 176))
         spe_mid = max(spe_by[i].abs_residual for i in range(172, 176))
         assert spe_mid > 10.0 * robust_mid
+
+
+class TestBoundedState:
+    def test_long_stream_keeps_t_max_values(self):
+        # 20 000 default steps: the history buffer keeps exactly the last
+        # t_max stored values at every step, across its compactions, and the
+        # memory holds one magnitude per replayed training window and step.
+        clean = generate_clean(SynthSpec(length=20300, seed=0))
+        st = train(series(clean.values[:300]))
+        t_max = st.config.t_max
+        stored = clean.values.copy()
+        for i in range(300, 20300):
+            record = step(st, float(clean.values[i]))
+            if record.replaced_value is not None:
+                stored[i] = record.replaced_value
+            assert np.array_equal(st.history, stored[i + 1 - t_max:i + 1])
+        assert len(st.history) <= t_max
+        assert len(st.memory) == 20271
 
 
 class TestScoreSeries:

@@ -3,7 +3,8 @@
 Four invariants, each exercised over a thousand generated cases: the
 embedding round-trip, rotation invariance of the coherence statistic,
 agreement of the best-F1 search with brute-force enumeration, and seeded
-reproducibility of the synthetic generator.
+reproducibility of the synthetic generator. A fifth checks that the residual
+memory's empirical CDF stays exact over long append sequences full of ties.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpe.coherence import mu_squared
+from rpe.detector import ResidualMemory
 from rpe.errors import CannotPlace
 from rpe.evaluation import max_f1
 from rpe.synth import AnomalySpec, SynthSpec, generate_clean, inject_anomalies
@@ -128,3 +130,32 @@ def test_generation_and_injection_are_seed_deterministic(
     # Labels mark exactly the changed stamps.
     changed = injected_a.values != first.values
     assert not changed[~injected_a.labels].any()
+
+
+# Residual magnitudes: a few tied values, the extremes, NaN (an overflowed
+# reconstruction) and arbitrary floats.
+magnitudes = st.sampled_from(
+    [0.0, 0.5, 1.0, 2.0, 5e-324, 1e300, float("inf"), float("nan")]
+) | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=st.lists(magnitudes, min_size=1, max_size=40),
+    repeats=st.integers(min_value=1, max_value=120),
+    cap=st.none() | st.integers(min_value=1, max_value=8) | st.integers(min_value=1000, max_value=3000),
+)
+def test_residual_memory_cdf_is_exact(block, repeats, cap):
+    # Repeating a block gives thousands of entries with many ties, enough to
+    # split the sorted list's internal blocks and to evict through them.
+    appended = block * repeats
+    memory = ResidualMemory(cap=cap)
+    probes = list(set(block)) + [-1.0, 0.25, 3.0, float("inf")]
+    for n, value in enumerate(appended, start=1):
+        memory.append(value)
+        if n <= 2 * len(block) or n == len(appended):
+            kept = appended[:n][-cap:] if cap else appended[:n]
+            assert memory.values() == tuple(kept)
+            assert len(memory) == len(kept)
+            for q in probes:
+                assert memory.cdf(q) == sum(v < q for v in kept) / len(kept)
