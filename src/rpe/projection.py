@@ -7,7 +7,10 @@ Three ways to explain a window x with an orthonormal basis U:
 * ``robust_projection``: score each coordinate by its preliminary residual
   |x - U U^T x|, drop the n_s worst rows, and re-solve least squares on the
   survivors. Closed form, no iteration, and exact when the corruption budget
-  covers the corrupted rows and the basis is incoherent enough.
+  covers the corrupted rows and the basis is incoherent enough. Because U is
+  orthonormal, the survivors' normal matrix is I - B^T B for the dropped rows
+  B, so the solve is an n_s x n_s downdate (Woodbury); a window whose dropped
+  rows leave the survivors badly conditioned goes to a QR of the survivors.
 * ``l1_projection_oracle``: iteratively reweighted least squares for the l1
   objective min_a ||x - U a||_1. Slower; used as an independent reference.
 """
@@ -16,10 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
+from scipy.linalg.blas import dgemv, dsyrk
+from scipy.linalg.lapack import dgeqrf, dorgqr, dposv, dtrtrs
 
 from .errors import (
     BadBudget,
@@ -30,22 +34,42 @@ from .errors import (
 )
 
 RANK_TOL = 1e-10
+# Smallest det(I - B B^T) at which the downdate solve is trusted; below it
+# the window goes to the QR solve (see _downdate_solve).
+DOWNDATE_FLOOR = 1e-3
 IRLS_SMOOTHING = 1e-8
 
 
-@dataclass(frozen=True)
 class RobustProjectionResult:
     """Coefficients plus the evidence used to compute them.
 
     kept_rows is the ascending index set of rows that survived exclusion;
     residual is x - U a_hat over all rows; prelim_residual is the first-pass
-    score |x - U U^T x| that decided which rows to keep.
+    score |x - U U^T x| that decided which rows to keep. kept_rows and
+    residual are computed on first read, from a copy of the window taken by
+    the call, so a caller that reads only a_hat does not pay for them and a
+    caller that reuses its window buffer does not change them.
     """
 
-    a_hat: np.ndarray
-    kept_rows: np.ndarray
-    residual: np.ndarray
-    prelim_residual: np.ndarray
+    def __init__(self, a_hat: np.ndarray, prelim_residual: np.ndarray,
+                 basis: np.ndarray, window: np.ndarray, order: np.ndarray,
+                 n_kept: int):
+        self.a_hat = a_hat
+        self.prelim_residual = prelim_residual
+        self._basis = basis
+        self._window = window
+        self._order = order  # rows by ascending preliminary residual
+        self._n_kept = n_kept
+
+    @cached_property
+    def kept_rows(self) -> np.ndarray:
+        kept = self._order[: self._n_kept]
+        kept.sort()
+        return kept
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        return self._window - self._basis @ self.a_hat
 
 
 def _validate(U, x):
@@ -81,18 +105,55 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
     a0 = U.T @ x
     prelim = x - U @ a0
     np.abs(prelim, out=prelim)
-    kept = prelim.argsort(kind="stable")[: m - n_s]
-    kept.sort()
+    order = prelim.argsort(kind="stable")
     if n_s == 0:
         a_hat = a0  # full-row least squares on an orthonormal basis
     else:
-        a_hat = _kept_row_solve(U, x, kept)
-    return RobustProjectionResult(
-        a_hat=a_hat,
-        kept_rows=kept,
-        residual=x - U @ a_hat,
-        prelim_residual=prelim,
-    )
+        a_hat = _downdate_solve(U, x, order[m - n_s:])
+        if a_hat is None:
+            kept = order[: m - n_s]
+            kept.sort()
+            a_hat = _kept_row_solve(U, x, kept)
+    return RobustProjectionResult(a_hat, prelim, U, x.copy(), order, m - n_s)
+
+
+def _downdate_solve(U: np.ndarray, x: np.ndarray, excluded: np.ndarray) -> np.ndarray | None:
+    """Least squares on the kept rows through the n_s excluded rows B.
+
+    U is orthonormal, so the kept rows' normal matrix is I - B^T B, and
+    Woodbury's identity gives a = g + B^T w, where g = U^T x0 and
+    (I - B B^T) w = B g, solved by one LAPACK dposv. x0 is the window with
+    the excluded entries zeroed, so a huge excluded value never enters a sum
+    (U^T x - B^T x_B would cancel it away in rounding).
+
+    Returns None, leaving the window to _kept_row_solve, unless
+    det(I - B B^T) >= DOWNDATE_FLOOR and a is finite. The determinant is the
+    squared product of the Cholesky diagonal, and it bounds the smallest
+    eigenvalue from below, because every eigenvalue of I - B B^T lies in
+    [0, 1]; so an accepted solve is well conditioned, and its kept rows have
+    full rank.
+    """
+    x0 = x.copy()
+    x0[excluded] = 0.0
+    g = U.T @ x0
+    # B^T is the F-ordered view of the C-ordered rows that the BLAS and
+    # LAPACK wrappers read without a copy.
+    b_t = U.take(excluded, axis=0).T
+    s = dsyrk(-1.0, b_t, beta=1.0, c=_identity(excluded.size), trans=1, lower=1)
+    chol, w, info = dposv(s, g @ b_t, lower=1, overwrite_a=1, overwrite_b=1)
+    if info != 0 or not math.prod(chol.diagonal().tolist()) ** 2 >= DOWNDATE_FLOOR:
+        return None
+    a_hat = dgemv(1.0, b_t, w, beta=1.0, y=g, overwrite_y=1)
+    # A sum of Python floats is finite only if every term is.
+    return a_hat if math.isfinite(sum(a_hat.tolist())) else None
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """A read-only F-ordered n x n identity, the C that dsyrk starts from."""
+    eye = np.eye(n, order="F")
+    eye.setflags(write=False)
+    return eye
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -103,6 +164,8 @@ def _check_info(routine: str, info: int) -> None:
 def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Least squares on the kept rows: QR of U[kept], then R a = Q^T x[kept].
 
+    The fallback of robust_projection for windows the downdate declines, and
+    the only place that raises RankDeficient or NonFiniteValue for a window.
     Calls the LAPACK routines directly, on the memory layouts that
     np.linalg.qr and scipy.linalg.solve_triangular give them, so the
     coefficients are bit-identical to those wrappers at under half their call

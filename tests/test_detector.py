@@ -4,6 +4,7 @@ single-step scoring, value replacement, and series scoring."""
 import numpy as np
 import pytest
 
+from rpe import projection
 from rpe.detector import (
     DetectorConfig,
     DetectorState,
@@ -16,7 +17,13 @@ from rpe.detector import (
 )
 from rpe.errors import NonFiniteValue, NotTrained, RankDeficient, SeriesTooShort
 from rpe.subspace import SubspaceModel
-from rpe.synth import AnomalySpec, SynthSpec, anomaly_scale, generate_clean
+from rpe.synth import (
+    AnomalySpec,
+    SynthSpec,
+    anomaly_scale,
+    generate_clean,
+    inject_anomalies,
+)
 from rpe.trajectory import TimeSeries
 
 
@@ -367,6 +374,44 @@ class TestBoundedState:
             assert np.array_equal(st.history, stored[i + 1 - t_max:i + 1])
         assert len(st.history) <= t_max
         assert len(st.memory) == 20271
+
+
+class TestDowndateAgreement:
+    def test_stream_scores_match_the_qr_solve(self, monkeypatch):
+        # 5 000 default steps on four series that stay stable, each with 1 %
+        # injected point anomalies, scored once as shipped and once with
+        # every window sent to the QR solve. The two solves differ only in
+        # rounding, so residuals agree to 1e-12 and the scores and flags are
+        # identical; and every window of these streams takes the downdate.
+        qr_solves = 0
+        kept_row_solve = projection._kept_row_solve
+
+        def counted(*args):
+            nonlocal qr_solves
+            qr_solves += 1
+            return kept_row_solve(*args)
+
+        monkeypatch.setattr(projection, "_kept_row_solve", counted)
+
+        def scores(values):
+            st = train(series(values[:300]))
+            return zip(*[(r.residual, r.cdf_score, r.flagged)
+                         for r in score_series(st, values[300:])])
+
+        for seed in (0, 1, 5, 7):
+            clean = generate_clean(SynthSpec(length=5300, seed=seed))
+            spec = AnomalySpec(fraction=0.01, seed=seed, protect_prefix=300)
+            values = inject_anomalies(clean, spec).values
+            residual, cdf, flagged = scores(values)
+            assert qr_solves == 0, seed
+            with monkeypatch.context() as m:
+                m.setattr(projection, "DOWNDATE_FLOOR", np.inf)
+                qr_residual, qr_cdf, qr_flagged = scores(values)
+            assert qr_solves == 5000 + 271
+            qr_solves = 0
+            assert np.max(np.abs(np.subtract(residual, qr_residual))) <= 1e-12
+            assert cdf == qr_cdf
+            assert flagged == qr_flagged
 
 
 class TestScoreSeries:

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import dct
 
 from rpe.errors import (
@@ -15,6 +17,8 @@ from rpe.errors import (
     RankDeficient,
 )
 from rpe.projection import (
+    DOWNDATE_FLOOR,
+    _kept_row_solve,
     l1_projection_oracle,
     robust_projection,
     simple_projection,
@@ -186,6 +190,70 @@ class TestRobustProjection:
             kept = result.kept_rows
             ref = np.linalg.lstsq(u[kept], x[kept], rcond=None)[0]
             assert np.linalg.norm(result.a_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m1=st.sampled_from([10, 12, 30, 60]),
+        rank=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        coherent=st.booleans(),
+    )
+    def test_downdate_matches_lstsq_on_kept_rows(self, m1, rank, seed, coherent):
+        # Orthonormal bases with spikes up to 1e12. A coherent basis has 1-3
+        # rows scaled by 2-20 before re-orthonormalising, so excluding them
+        # can leave the kept rows badly conditioned: the downdate must then
+        # decline, or its error would show against the SVD reference. A
+        # declined window gets the QR solve's coefficients, whose own
+        # agreement with the reference is tested above on fixed seeds (it can
+        # exceed 1e-12 on a badly conditioned window).
+        rng = np.random.default_rng(seed)
+        n_s = min(5, m1 - rank)
+        raw = rng.standard_normal((m1, rank))
+        if coherent:
+            rows = rng.choice(m1, rng.integers(1, 4), replace=False)
+            raw[rows] *= rng.uniform(2.0, 20.0, rows.size)[:, None]
+        u, _ = np.linalg.qr(raw)
+        x = u @ rng.standard_normal(rank) + 0.05 * rng.standard_normal(m1)
+        k = rng.integers(0, n_s + 1)
+        rows = rng.choice(m1, k, replace=False)
+        x[rows] += rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(0, 12, k)
+        result = robust_projection(u, x, n_s)
+        kept = result.kept_rows
+        if n_s and np.array_equal(result.a_hat, _kept_row_solve(u, x, kept)):
+            return
+        ref = np.linalg.lstsq(u[kept], x[kept], rcond=None)[0]
+        assert np.linalg.norm(result.a_hat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_ill_conditioned_exclusion_falls_back_to_qr(self):
+        # Rows 0-2 of a coherent basis carry spikes; the rows it excludes
+        # leave det(I - B B^T) below the floor, so the result is the QR
+        # solve's, bit for bit. (Accepted, the downdate would differ from it
+        # by about 1e-10 here.)
+        rng = np.random.default_rng(161)
+        raw = rng.standard_normal((12, 4))
+        raw[:3] *= rng.uniform(2.0, 20.0)
+        u, _ = np.linalg.qr(raw)
+        x = u @ rng.standard_normal(4) + 0.05 * rng.standard_normal(12)
+        x[:3] += rng.choice([-1.0, 1.0], 3) * 1e3
+        result = robust_projection(u, x, 3)
+        kept = result.kept_rows
+        b = np.delete(u, kept, axis=0)
+        assert np.linalg.det(np.eye(3) - b @ b.T) < DOWNDATE_FLOOR
+        np.testing.assert_array_equal(result.a_hat, _kept_row_solve(u, x, kept))
+
+    def test_evidence_survives_a_reused_window_buffer(self):
+        # The detector passes a view of its history buffer, which the next
+        # step overwrites; the lazily computed evidence must not follow it.
+        u = dct_frame(30, (0, 1, 2))
+        rng = np.random.default_rng(9)
+        x = u @ rng.standard_normal(3) + 0.05 * rng.standard_normal(30)
+        x[[4, 22]] += 50.0
+        expected = robust_projection(u, x.copy(), 5)
+        expected_kept, expected_residual = expected.kept_rows, expected.residual
+        result = robust_projection(u, x, 5)
+        x[:] = rng.standard_normal(30) * 1e3
+        np.testing.assert_array_equal(result.kept_rows, expected_kept)
+        np.testing.assert_array_equal(result.residual, expected_residual)
 
 class TestL1Oracle:
     def test_zero_objective(self):
