@@ -43,7 +43,6 @@ from .evaluation import (
     pr_curve,
     run_labeled_series,
     run_scenario,
-    score_methods,
 )
 from .projection import (
     RobustProjectionResult,
@@ -90,7 +89,7 @@ __all__ = [
     "score_series", "step", "train", "warm_start",
     "BenchmarkReport", "MethodSummary", "PrCurvePoint", "Scenario",
     "TABLE_SCENARIOS", "max_f1", "method_scores", "pr_curve",
-    "run_labeled_series", "run_scenario", "score_methods",
+    "run_labeled_series", "run_scenario",
     "RobustProjectionResult", "l1_projection_oracle", "robust_projection",
     "simple_projection",
     "SubspaceModel", "estimate_columnwise", "estimate_elementwise",

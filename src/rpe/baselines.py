@@ -164,15 +164,14 @@ class ArDetector(_ReferenceDetector):
                 f"ar training needs at least {2 * self.window} samples, got {values.size}"
             )
         self.weights = _fit_ar_weights(values, self.window)
-        self.history = values.astype(float).tolist()
+        self.history = values.tolist()
         self.counter = 0
-        train_values = np.asarray(self.history)
-        rows = np.lib.stride_tricks.sliding_window_view(train_values[:-1], self.window)
-        residuals = train_values[self.window:] - rows @ self.weights
+        rows = np.lib.stride_tricks.sliding_window_view(values[:-1], self.window)
+        residuals = values[self.window:] - rows @ self.weights
         self.memory = ResidualMemory()
         for r in residuals:
             self.memory.append(abs(float(r)))
-        self._index = train_values.size
+        self._index = values.size
         return self
 
     def step(self, value: float) -> ScoreRecord:

@@ -96,7 +96,7 @@ def _cmd_detect(args) -> int:
         if not args.model:
             raise ValueError(f"--model is required for method {args.method}")
         model = load_model(args.model)
-        config = _load_config(args.config, M1=model.M1) if args.config else DetectorConfig(M1=model.M1)
+        config = _load_config(args.config, M1=model.M1)
         if args.method == "spe":
             config = dataclasses.replace(config, n_s=0)
         if args.train:
@@ -201,47 +201,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming anomaly detection via robust subspace projection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared by every command that reads a series CSV.
+    csv_input = argparse.ArgumentParser(add_help=False)
+    csv_input.add_argument("--impute-median", action="store_true",
+                           help="replace missing/non-finite CSV values with the median")
 
     p_synth = sub.add_parser("synth", help="generate a labelled synthetic series CSV")
     p_synth.add_argument("--spec", required=True, help="JSON generator spec")
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_train = sub.add_parser("train", help="fit a subspace model from a training CSV")
+    p_train = sub.add_parser("train", parents=[csv_input],
+                             help="fit a subspace model from a training CSV")
     p_train.add_argument("--input", required=True, help="training CSV")
     p_train.add_argument("--config", help="detector config JSON")
     p_train.add_argument("--output", required=True, help="model JSON path")
-    p_train.add_argument("--impute-median", action="store_true",
-                         help="replace missing/non-finite values with the median")
     p_train.set_defaults(func=_cmd_train)
 
-    p_detect = sub.add_parser("detect", help="score a series CSV")
+    p_detect = sub.add_parser("detect", parents=[csv_input], help="score a series CSV")
     p_detect.add_argument("--model", help="model JSON (required for rpe/spe)")
     p_detect.add_argument("--input", required=True, help="series CSV to score")
     p_detect.add_argument("--output", required=True, help="scores CSV path")
     p_detect.add_argument("--method", choices=("rpe", "spe", "iid", "ar"), default="rpe")
     p_detect.add_argument("--config", help="detector config JSON")
     p_detect.add_argument("--train", help="training CSV to seed history/memory")
-    p_detect.add_argument("--impute-median", action="store_true",
-                          help="replace missing/non-finite values with the median")
     p_detect.set_defaults(func=_cmd_detect)
 
-    p_coh = sub.add_parser("coherence", help="coherence metrics of a learned basis")
+    p_coh = sub.add_parser("coherence", parents=[csv_input],
+                           help="coherence metrics of a learned basis")
     p_coh.add_argument("--input", required=True, help="series CSV")
     p_coh.add_argument("--config", help="detector config JSON")
     p_coh.add_argument("--n-starts", type=int, default=64)
     p_coh.add_argument("--seed", type=int, default=0)
-    p_coh.add_argument("--impute-median", action="store_true",
-                       help="replace missing/non-finite values with the median")
     p_coh.set_defaults(func=_cmd_coherence)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark scenario")
+    p_bench = sub.add_parser("bench", parents=[csv_input], help="run a benchmark scenario")
     p_bench.add_argument("--scenario", required=True,
                          help="table1|table2|table3|table4 or a scenario JSON path")
     p_bench.add_argument("--out", required=True, help="report JSON path")
     p_bench.add_argument("--emit-curves", help="directory for per-run PR curve CSVs")
-    p_bench.add_argument("--impute-median", action="store_true",
-                         help="replace missing/non-finite values in CSV scenarios")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -177,13 +177,6 @@ def method_scores(series: TimeSeries, train_len: int, methods=DEFAULT_METHODS,
     return scores, test_labels
 
 
-def score_methods(series: TimeSeries, train_len: int, methods=DEFAULT_METHODS,
-                  detector_config: dict | None = None) -> dict[str, PrCurvePoint]:
-    """Best-F1 point per method over the post-training region."""
-    scores, labels = method_scores(series, train_len, methods, detector_config)
-    return {method: max_f1(s, labels) for method, s in scores.items()}
-
-
 def run_scenario(scenario: Scenario, curve_sink=None) -> BenchmarkReport:
     """Average per-run best-F1 points over the scenario's seeded runs.
 
@@ -201,20 +194,21 @@ def run_scenario(scenario: Scenario, curve_sink=None) -> BenchmarkReport:
             points[method].append(max_f1(s, labels))
             if curve_sink is not None:
                 curve_sink(method, run_index, pr_curve(s, labels))
-    methods = {
-        method: MethodSummary(
-            mean_f1=float(np.mean([p.f1 for p in pts])),
-            mean_precision=float(np.mean([p.precision for p in pts])),
-            mean_recall=float(np.mean([p.recall for p in pts])),
-            per_run=tuple(pts),
-        )
-        for method, pts in points.items()
-    }
     return BenchmarkReport(
         scenario=scenario.name,
         n_runs=scenario.n_runs,
         seeds=seeds,
-        methods=methods,
+        methods={method: _summary(pts) for method, pts in points.items()},
+    )
+
+
+def _summary(points: list[PrCurvePoint]) -> MethodSummary:
+    """Mean best-F1 point over a method's runs, with the runs themselves."""
+    return MethodSummary(
+        mean_f1=float(np.mean([p.f1 for p in points])),
+        mean_precision=float(np.mean([p.precision for p in points])),
+        mean_recall=float(np.mean([p.recall for p in points])),
+        per_run=tuple(points),
     )
 
 
@@ -230,12 +224,7 @@ def run_labeled_series(series: TimeSeries, train_len: int = 100,
         point = max_f1(s, labels)
         if curve_sink is not None:
             curve_sink(method, 0, pr_curve(s, labels))
-        methods_summary[method] = MethodSummary(
-            mean_f1=point.f1,
-            mean_precision=point.precision,
-            mean_recall=point.recall,
-            per_run=(point,),
-        )
+        methods_summary[method] = _summary([point])
     return BenchmarkReport(scenario=name, n_runs=1, seeds=(), methods=methods_summary)
 
 

@@ -10,7 +10,8 @@ Three ways to explain a window x with an orthonormal basis U:
   covers the corrupted rows and the basis is incoherent enough. Because U is
   orthonormal, the survivors' normal matrix is I - B^T B for the dropped rows
   B, so the solve is an n_s x n_s downdate (Woodbury); a window whose dropped
-  rows leave the survivors badly conditioned goes to a QR of the survivors.
+  rows leave the survivors badly conditioned, which is rare, goes to a plain
+  QR of the survivors (np.linalg.qr, then solve_triangular).
 * ``l1_projection_oracle``: iteratively reweighted least squares for the l1
   objective min_a ||x - U a||_1. Slower; used as an independent reference.
 """
@@ -22,8 +23,9 @@ import warnings
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemv, dsyrk
-from scipy.linalg.lapack import dgeqrf, dorgqr, dposv, dtrtrs
+from scipy.linalg.lapack import dposv
 
 from .errors import (
     BadBudget,
@@ -156,57 +158,26 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _check_info(routine: str, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
-
-
 def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Least squares on the kept rows: QR of U[kept], then R a = Q^T x[kept].
 
     The fallback of robust_projection for windows the downdate declines, and
     the only place that raises RankDeficient or NonFiniteValue for a window.
-    Calls the LAPACK routines directly, on the memory layouts that
-    np.linalg.qr and scipy.linalg.solve_triangular give them, so the
-    coefficients are bit-identical to those wrappers at under half their call
-    overhead: Q is made C-contiguous before the product, and the triangular
-    solve reads R^T from the lower triangle of an F-ordered copy of the
-    factor's leading block (dtrtrs with lower=1, trans=1, as solve_triangular
-    does for a C-ordered R).
+    A NaN on R's diagonal is not rank deficiency (numpy's min propagates it,
+    and nan <= tol is false); it fails the finiteness test instead, which is
+    the condition of solve_triangular's check_finite.
     """
-    r = U.shape[1]
-    qr, tau, _, info = dgeqrf(U.take(kept, axis=0))
-    _check_info("dgeqrf", info)
-    diagonal = qr.diagonal().tolist()
-    # Python's min can skip a NaN that numpy's min propagates (and nan <= tol
-    # is false), so a diagonal holding a NaN is ruled out by hand: it is not
-    # rank deficient.
-    if min(map(abs, diagonal)) <= RANK_TOL and not any(map(math.isnan, diagonal)):
+    q, rmat = np.linalg.qr(U[kept])
+    if np.abs(np.diag(rmat)).min() <= RANK_TOL:
         raise RankDeficient(
-            f"kept rows span less than rank {r} (QR diagonal below {RANK_TOL})"
+            f"kept rows span less than rank {U.shape[1]} (QR diagonal below {RANK_TOL})"
         )
-    # R is copied out, in the layout dtrtrs reads, before dorgqr overwrites
-    # the factor with Q.
-    r_block = qr[:r].T.copy(order="F")
-    q, _, info = dorgqr(qr, tau, overwrite_a=1)
-    _check_info("dorgqr", info)
-    rhs = np.ascontiguousarray(q).T @ x[kept]
-    # R and Q^T x must be finite: the condition of scipy's check_finite, so
-    # the same windows fail. The cheap test is sufficient: a finite leading
-    # block holds a finite R, and a sum of Python floats is finite only if
-    # every term is (it overflows to inf without a warning). Only when it
-    # fails does the exact test run: the block also holds reflector entries
-    # below R's diagonal, so R's own triangle decides.
-    if not (np.count_nonzero(np.isfinite(r_block)) == r * r
-            and math.isfinite(sum(rhs.tolist()))):
-        r_finite = np.isfinite(r_block[np.tril_indices(r)]).all()
-        if not (r_finite and np.isfinite(rhs).all()):
-            raise NonFiniteValue(
-                _blamed_row(U, x, kept), "non-finite number in the kept-row solve"
-            )
-    a_hat, info = dtrtrs(r_block, rhs, lower=1, trans=1)
-    _check_info("dtrtrs", info)
-    return a_hat
+    rhs = q.T @ x[kept]
+    if not (np.isfinite(rmat).all() and np.isfinite(rhs).all()):
+        raise NonFiniteValue(
+            _blamed_row(U, x, kept), "non-finite number in the kept-row solve"
+        )
+    return solve_triangular(rmat, rhs, check_finite=False)
 
 
 def _blamed_row(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> int:

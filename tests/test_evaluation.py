@@ -21,7 +21,6 @@ from rpe.evaluation import (
     run_labeled_series,
     run_scenario,
     scenario_run_series,
-    score_methods,
     write_report,
 )
 from rpe.trajectory import read_csv
@@ -139,10 +138,11 @@ class TestMethodScores:
         with pytest.raises(ValueError):
             method_scores(series, 200)
 
-    def test_score_methods_returns_best_points(self):
+    def test_max_f1_of_method_scores_gives_best_points(self):
         sc = Scenario(name="x", total_len=220, train_len=100)
         series = scenario_run_series(sc, seed=3)
-        points = score_methods(series, 100, methods=("iid",))
+        scores, labels = method_scores(series, 100, methods=("iid",))
+        points = {method: max_f1(s, labels) for method, s in scores.items()}
         assert isinstance(points["iid"], PrCurvePoint)
         assert 0.0 <= points["iid"].f1 <= 1.0
 

@@ -173,6 +173,19 @@ class TestRobustProjection:
             robust_projection(u, x, 2)
         assert info.value.index == 0
 
+    def test_overflowing_finite_window_blames_largest_kept_value(self):
+        # Every value is finite but near the float limit, so the solve
+        # overflows to inf/NaN. No kept row holds a non-finite entry, so the
+        # kept row of largest magnitude, row 7, is blamed.
+        u = dct_frame(10, (1, 3))
+        x = np.where(np.arange(10) % 2, -1.7e308, 1.7e308)
+        x[7] = -1.75e308
+        with pytest.raises(NonFiniteValue) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            robust_projection(u, x, 2)
+        assert info.value.index == 7
+        assert str(info.value) == "non-finite number in the kept-row solve at index 7"
+
     @pytest.mark.parametrize("m1", [10, 30, 60])
     @pytest.mark.parametrize("rank", range(1, 11))
     def test_matches_lstsq_on_kept_rows(self, m1, rank):

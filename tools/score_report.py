@@ -12,15 +12,19 @@ type, scores -inf, and the detector is retrained on the last 300 raw stamps,
 as the benchmark does. Per seed it prints the SHA-256 of `abs_residual` (with
 -inf at failed steps), its largest finite value, the RuntimeWarnings raised,
 the robust projections made and how many of them went to the QR solve of the
-kept rows, and the failed steps. Then it prints
-each method's mean F1 in `rpe bench` for every table named by `--tables`.
-Every float is printed with repr, so any change of a bit shows in the diff.
+kept rows, and the failed steps. Then, for every table named by `--tables`, it
+prints each method's mean F1 in `rpe bench`, the QR solves of the table, and
+the SHA-256 of its per-run PR curve CSVs (`--emit-curves`), each file's name
+and bytes in sorted name order, so a bit changed in any run's scores shows
+even where the mean F1 hides it. Every float is printed with repr, so any
+change of a bit shows in the diff.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -111,12 +115,18 @@ def report(args) -> int:
               f" failed {len(failures)} at [{' '.join(failures)}]")
 
     for table in args.tables:
+        counts.clear()
         with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "report.json"
+            out, curves = Path(tmp) / "report.json", Path(tmp) / "curves"
             with contextlib.redirect_stdout(io.StringIO()):
-                rpe.cli.main(["bench", "--scenario", table, "--out", str(out)])
+                rpe.cli.main(["bench", "--scenario", table, "--out", str(out),
+                              "--emit-curves", str(curves)])
             methods = json.loads(out.read_text())["methods"]
-        print(f"bench {table}: " + " ".join(f"{m}={s['mean_f1']!r}" for m, s in methods.items()))
+            curve_digest = hashlib.sha256()
+            for path in sorted(curves.iterdir()):
+                curve_digest.update(path.name.encode() + b"\n" + path.read_bytes())
+        print(f"bench {table}: " + " ".join(f"{m}={s['mean_f1']!r}" for m, s in methods.items())
+              + f" qr_solves {counts['qr_solves']} curves_sha256 {curve_digest.hexdigest()}")
     return 0
 
 
