@@ -43,10 +43,10 @@ def main() -> None:
     for name, values in SHAPES.items():
         series = TimeSeries(values=values)
         matrix = build_trajectory(series, M1)
-        s = np.linalg.svd(matrix.data, compute_uv=False)
+        s = np.linalg.svd(matrix, compute_uv=False)
         r = select_rank(s)
         print(f"{name}")
-        print(f"  trajectory matrix: {matrix.data.shape[0]} x {matrix.data.shape[1]}")
+        print(f"  trajectory matrix: {matrix.shape[0]} x {matrix.shape[1]}")
         print(f"  selected rank: {r}  (singular values above 1% of the largest)")
         for i, bar in enumerate(spectrum_bar(s[:8])):
             marker = "<- kept" if i < r else ""
@@ -57,14 +57,14 @@ def main() -> None:
     # the whole tail of the spectrum, so the rank rule hits its cap — the
     # projection then models the signal directions plus a few noise ones.
     noisy = generate_clean(SynthSpec(length=400, seed=0))
-    s = np.linalg.svd(build_trajectory(noisy, M1).data, compute_uv=False)
+    s = np.linalg.svd(build_trajectory(noisy, M1), compute_uv=False)
     print("four-cosine benchmark series with noise (sigma = 0.1)")
     print(f"  selected rank: {select_rank(s)} (cap); "
           f"tail singular value s30 = {s[-1]:.2f} sits above the 1% line "
           f"({0.01 * s[0]:.2f}) because of the noise floor")
 
     quiet = generate_clean(SynthSpec(length=400, seed=0, noise_sigma=0.0))
-    s0 = np.linalg.svd(build_trajectory(quiet, M1).data, compute_uv=False)
+    s0 = np.linalg.svd(build_trajectory(quiet, M1), compute_uv=False)
     print("same waveform, noise removed")
     print(f"  selected rank: {select_rank(s0)} — two directions per cosine, "
           "which is the structure the detector actually needs")

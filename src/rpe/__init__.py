@@ -19,7 +19,6 @@ from .coherence import (
     CoherenceReport,
     coherence_report,
     gamma_estimate,
-    kappa_estimate,
     mu_squared,
 )
 from .detector import (
@@ -70,7 +69,6 @@ from .synth import (
 )
 from .trajectory import (
     TimeSeries,
-    TrajectoryMatrix,
     build_trajectory,
     read_csv,
     trajectory_to_series,
@@ -83,8 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArDetector", "IidDetector", "RpeDetector", "SpeDetector",
     "make_detector",
-    "CoherenceReport", "coherence_report", "gamma_estimate",
-    "kappa_estimate", "mu_squared",
+    "CoherenceReport", "coherence_report", "gamma_estimate", "mu_squared",
     "DetectorConfig", "DetectorState", "ResidualMemory", "ScoreRecord",
     "score_series", "step", "train", "warm_start",
     "BenchmarkReport", "MethodSummary", "PrCurvePoint", "Scenario",
@@ -97,7 +94,7 @@ __all__ = [
     "save_model", "select_rank",
     "AnomalySpec", "SynthSpec", "anomaly_scale", "generate_clean",
     "inject_anomalies",
-    "TimeSeries", "TrajectoryMatrix", "build_trajectory", "read_csv",
+    "TimeSeries", "build_trajectory", "read_csv",
     "trajectory_to_series", "write_csv",
     "errors",
 ]

@@ -27,6 +27,7 @@ import numpy as np
 from . import detector
 from .detector import DetectorConfig, DetectorState, ResidualMemory, ScoreRecord
 from .errors import NotTrained, SeriesTooShort
+from .subspace import SubspaceModel
 from .trajectory import series_values
 
 IID_BUFFER_LEN = 100
@@ -61,6 +62,11 @@ class RpeDetector:
 
     def fit(self, values) -> "RpeDetector":
         self.state = detector.train(values, self.config)
+        return self
+
+    def warm_start(self, model: SubspaceModel, values) -> "RpeDetector":
+        """Like fit, but around an existing model: values only seed the state."""
+        self.state = detector.warm_start(model, values, self.config)
         return self
 
     def step(self, value: float) -> ScoreRecord:

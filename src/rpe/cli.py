@@ -91,39 +91,30 @@ def _write_scores(path, rows) -> None:
 
 def _cmd_detect(args) -> int:
     series = read_csv(args.input, impute_median=args.impute_median)
-    rows = []
+    offset = 0
     if args.method in ("rpe", "spe"):
         if not args.model:
             raise ValueError(f"--model is required for method {args.method}")
         model = load_model(args.model)
-        config = _load_config(args.config, M1=model.M1)
-        if args.method == "spe":
-            config = dataclasses.replace(config, n_s=0)
+        det = make_detector(args.method, _load_config(args.config, M1=model.M1))
         if args.train:
-            train_series = read_csv(args.train, impute_median=args.impute_median)
-            state = detector_mod.warm_start(model, train_series.values, config)
-            to_score = series.values
-            offset = 0
+            det.warm_start(model, read_csv(args.train, impute_median=args.impute_median).values)
         else:
             # Cold start: the first window of the input seeds the history and
             # the residual memory fills as scoring proceeds.
-            if len(series) <= config.M1:
-                raise ValueError(f"input must exceed M1={config.M1} samples without --train")
-            state = detector_mod.warm_start(model, series.values[:config.M1], config)
-            to_score = series.values[config.M1:]
-            offset = config.M1
-        for i, value in enumerate(to_score):
-            rec = detector_mod.step(state, float(value))
-            rows.append((offset + i, value, rec.residual, rec.cdf_score, rec.flagged))
+            offset = model.M1
+            if len(series) <= offset:
+                raise ValueError(f"input must exceed M1={offset} samples without --train")
+            det.warm_start(model, series.values[:offset])
     else:
         if not args.train:
             raise ValueError(f"--train is required for method {args.method}")
-        config = _load_config(args.config)
-        det = make_detector(args.method, config)
+        det = make_detector(args.method, _load_config(args.config))
         det.fit(read_csv(args.train, impute_median=args.impute_median).values)
-        for i, value in enumerate(series.values):
-            rec = det.step(float(value))
-            rows.append((i, value, rec.residual, rec.cdf_score, rec.flagged))
+    rows = []
+    for i, value in enumerate(series.values[offset:], start=offset):
+        rec = det.step(float(value))
+        rows.append((i, value, rec.residual, rec.cdf_score, rec.flagged))
     _write_scores(args.output, rows)
     print(f"scored {len(rows)} samples with {args.method} -> {args.output}")
     return 0
@@ -134,12 +125,7 @@ def _cmd_coherence(args) -> int:
     config = _load_config(args.config)
     model = ESTIMATORS[config.estimator](series.values, config.M1, rank_cap=config.rank_cap)
     report = coherence_report(model.U, n_starts=args.n_starts, seed=args.seed)
-    print(json.dumps({
-        "mu_squared": report.mu_squared,
-        "gamma_estimate": report.gamma_estimate,
-        "kappa_estimate": report.kappa_estimate,
-        "gamma_is_exact": report.gamma_is_exact,
-    }, indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
 

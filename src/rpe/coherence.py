@@ -8,8 +8,9 @@ subspace is on individual coordinates:
 * ``gamma_estimate(U)``: the reciprocal of the minimum of ||U h||_1 over unit
   vectors h. The minimum is found numerically, so the reported value is a
   lower bound on the true gamma that is tight when the search succeeds.
-* ``kappa_estimate(U)``: sqrt(mu_squared) times gamma, the product that
-  controls when the robust projection provably matches the l1 solution.
+* ``coherence_report(U)``: both, plus their product kappa =
+  sqrt(mu_squared) * gamma, which controls when the robust projection
+  provably matches the l1 solution.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def check_orthonormal(U: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> np.ndar
         raise NotOrthonormal("basis must be a tall matrix with at least one column")
     gram = U.T @ U
     err = np.max(np.abs(gram - np.eye(U.shape[1])))
-    if err > tol:
+    if not err <= tol:  # a NaN entry makes err NaN, which no bound admits
         raise NotOrthonormal(f"columns deviate from orthonormality by {err:.3e}")
     return U
 
@@ -96,11 +97,6 @@ def gamma_estimate(U: np.ndarray, n_starts: int = 64, seed: int = 0) -> float:
         h0 /= np.linalg.norm(h0)
         best = min(best, _descend(U, h0))
     return float(1.0 / best)
-
-
-def kappa_estimate(U: np.ndarray, n_starts: int = 64, seed: int = 0) -> float:
-    """sqrt(mu_squared(U)) * gamma_estimate(U)."""
-    return float(np.sqrt(mu_squared(U)) * gamma_estimate(U, n_starts=n_starts, seed=seed))
 
 
 def coherence_report(U: np.ndarray, n_starts: int = 64, seed: int = 0) -> CoherenceReport:

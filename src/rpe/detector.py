@@ -32,6 +32,7 @@ scale.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ import numpy as np
 from sortedcontainers import SortedList
 
 from .errors import NonFiniteValue, NotTrained, SeriesTooShort
-from .projection import robust_projection, simple_projection
+from .projection import robust_projection
 from .subspace import DEFAULT_RANK_CAP, ESTIMATORS, SubspaceModel
 from .trajectory import build_trajectory, series_values
 
@@ -67,6 +68,11 @@ class DetectorConfig:
     memory_cap: int | None = None
 
     def __post_init__(self):
+        for name in ("M1", "n_s", "retrain_every", "t_max", "retrain_stop_len", "memory_cap"):
+            value = getattr(self, name)
+            optional = name in ("retrain_stop_len", "memory_cap")
+            if not (isinstance(value, numbers.Integral) or (optional and value is None)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.M1 < 2:
             raise ValueError("M1 must be at least 2")
         if not 0 <= self.n_s < self.M1:
@@ -206,13 +212,6 @@ def _fit_model(values: np.ndarray, config: DetectorConfig) -> SubspaceModel:
     return estimator(values, config.M1, rank_cap=config.rank_cap)
 
 
-def _project(model: SubspaceModel, window: np.ndarray, n_s: int) -> np.ndarray:
-    if n_s == 0:
-        a_hat, _ = simple_projection(model.U, window)
-        return a_hat
-    return robust_projection(model.U, window, n_s).a_hat
-
-
 def _seeded_state(model: SubspaceModel, values: np.ndarray,
                   config: DetectorConfig) -> DetectorState:
     """Keep the last t_max values as history, then replay every complete
@@ -224,11 +223,11 @@ def _seeded_state(model: SubspaceModel, values: np.ndarray,
         history=values[-config.t_max:],
         samples_seen=int(values.size),
     )
-    windows = build_trajectory(state.history, config.M1).data
+    windows = build_trajectory(state.history, config.M1)
     u_last = model.U[-1, :]
     for j in range(windows.shape[1]):
         window = windows[:, j]
-        a_hat = _project(model, window, config.n_s)
+        a_hat = robust_projection(model.U, window, config.n_s).a_hat
         state.memory.append(abs(window[-1] - float(a_hat @ u_last)))
     return state
 
@@ -237,8 +236,8 @@ def train(t_train, config: DetectorConfig | None = None) -> DetectorState:
     """Fit the subspace model and seed the residual memory.
 
     Only the most recent t_max training samples are kept. Requires at least
-    2 * M1 samples. With config.n_s = 0 every projection is the plain one
-    (the spe baseline).
+    2 * M1 samples. With config.n_s = 0 every projection keeps all rows,
+    which is the plain projection U^T x (the spe baseline).
     """
     config = config if config is not None else DetectorConfig()
     values = series_values(t_train)
@@ -283,7 +282,7 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
     if not math.isfinite(value):
         raise NonFiniteValue(index, "non-finite stream value")
 
-    a_hat = _project(state.model, state._window(value), config.n_s)
+    a_hat = robust_projection(state.model.U, state._window(value), config.n_s).a_hat
     reconstruction = float(a_hat @ state.model.U[-1, :])
     residual = value - reconstruction
     magnitude = abs(residual)

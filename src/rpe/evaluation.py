@@ -15,7 +15,7 @@ score for iid; the flagging threshold plays no part in evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -228,32 +228,7 @@ def run_labeled_series(series: TimeSeries, train_len: int = 100,
     return BenchmarkReport(scenario=name, n_runs=1, seeds=(), methods=methods_summary)
 
 
-def report_to_dict(report: BenchmarkReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "n_runs": report.n_runs,
-        "seeds": list(report.seeds),
-        "methods": {
-            method: {
-                "mean_f1": summary.mean_f1,
-                "mean_precision": summary.mean_precision,
-                "mean_recall": summary.mean_recall,
-                "per_run": [
-                    {
-                        "threshold": p.threshold,
-                        "precision": p.precision,
-                        "recall": p.recall,
-                        "f1": p.f1,
-                    }
-                    for p in summary.per_run
-                ],
-            }
-            for method, summary in report.methods.items()
-        },
-    }
-
-
 def write_report(report: BenchmarkReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
         fh.write("\n")

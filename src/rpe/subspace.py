@@ -94,7 +94,7 @@ def estimate_simple(t, window_size: int, beta_percent: float = 1.0,
     values = series_values(t)
     _require_length(values, window_size)
     cleaned = _median_replace(values, _count(beta_percent, values.size))
-    left, spectrum = _svd(build_trajectory(cleaned, window_size).data)
+    left, spectrum = _svd(build_trajectory(cleaned, window_size))
     r = select_rank(spectrum, cap=rank_cap)
     return SubspaceModel(U=left[:, :r], r=r, M1=window_size, singular_values=spectrum)
 
@@ -110,9 +110,9 @@ def estimate_elementwise(t, window_size: int, alpha_percent: float = 3.0,
     """
     values = series_values(t)
     _require_length(values, window_size)
-    X = np.array(build_trajectory(values, window_size).data)
+    X = np.array(build_trajectory(values, window_size))
     cleaned = _median_replace(values, _count(alpha_percent, values.size))
-    Q = build_trajectory(cleaned, window_size).data
+    Q = build_trajectory(cleaned, window_size)
     left_q, spectrum_q = _svd(Q)
     r = select_rank(spectrum_q, cap=rank_cap)
     U0 = left_q[:, :r]
@@ -149,7 +149,7 @@ def estimate_columnwise(t, window_size: int, drop_percent: float = 5.0,
     _require_length(values, window_size)
     if drop_percent >= 100.0:
         raise AllColumnsDropped("drop_percent must be below 100")
-    X = build_trajectory(values, window_size).data
+    X = build_trajectory(values, window_size)
     left, spectrum = _svd(X)
     r = select_rank(spectrum, cap=rank_cap)
     scores = column_outlyingness(X, left[:, :r])

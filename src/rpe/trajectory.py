@@ -58,25 +58,6 @@ class TimeSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class TrajectoryMatrix:
-    """Window-per-column matrix of shape (window_size, n - window_size + 1)."""
-
-    data: np.ndarray
-    window_size: int
-
-    def __post_init__(self):
-        data = np.asfortranarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[0] != self.window_size:
-            raise ValueError("data must have window_size rows")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n_windows(self) -> int:
-        return int(self.data.shape[1])
-
-
 def series_values(t) -> np.ndarray:
     """Accept a TimeSeries or anything array-like; return a float vector."""
     if isinstance(t, TimeSeries):
@@ -87,8 +68,12 @@ def series_values(t) -> np.ndarray:
     return values
 
 
-def build_trajectory(t, window_size: int) -> TrajectoryMatrix:
-    """Stack every sliding window of the series as a matrix column."""
+def build_trajectory(t, window_size: int) -> np.ndarray:
+    """Stack every sliding window of the series as a matrix column.
+
+    Returns a read-only, Fortran-ordered copy of shape
+    (window_size, n - window_size + 1).
+    """
     values = series_values(t)
     n = values.size
     if window_size < 1:
@@ -98,14 +83,14 @@ def build_trajectory(t, window_size: int) -> TrajectoryMatrix:
             f"window_size {window_size} exceeds series length {n}"
         )
     windows = np.lib.stride_tricks.sliding_window_view(values, window_size)
-    return TrajectoryMatrix(data=windows.T.copy(), window_size=window_size)
+    matrix = np.array(windows.T, order="F")
+    matrix.setflags(write=False)
+    return matrix
 
 
-def trajectory_to_series(tm: TrajectoryMatrix) -> np.ndarray:
+def trajectory_to_series(matrix: np.ndarray) -> np.ndarray:
     """Invert build_trajectory: first row, then the tail of the last column."""
-    first_row = tm.data[0, :]
-    last_col_tail = tm.data[1:, -1]
-    return np.concatenate([first_row, last_col_tail])
+    return np.concatenate([matrix[0, :], matrix[1:, -1]])
 
 
 # CSV contract: one sample per row, columns timestamp,value[,label]; a header

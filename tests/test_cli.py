@@ -162,17 +162,20 @@ class TestDetect:
         assert code == 0
         assert len(read_scores(out)) == 270
 
-    def test_spe_method_is_the_zero_budget_config(self, tmp_path, series_csv, model_json):
+    @pytest.mark.parametrize("start", ["warm", "cold"])
+    def test_spe_method_is_the_zero_budget_config(self, tmp_path, series_csv, model_json,
+                                                  start):
         spiked = generate_clean(SynthSpec(length=150, seed=43)).values.copy()
         spiked[100] += 30.0
         follow = tmp_path / "spiked.csv"
         write_csv(follow, TimeSeries(values=spiked))
         zero_budget = write_json(tmp_path / "n_s0.json", {"n_s": 0})
+        seed = ["--train", str(series_csv)] if start == "warm" else []
         outputs = {}
         for name, extra in (("spe", ["--method", "spe"]), ("n_s0", ["--config", zero_budget]),
                             ("rpe", [])):
             outputs[name] = tmp_path / f"{name}.csv"
-            assert cli.main(["detect", "--model", str(model_json), "--train", str(series_csv),
+            assert cli.main(["detect", "--model", str(model_json), *seed,
                              "--input", str(follow), "--output", str(outputs[name])] + extra) == 0
         assert outputs["spe"].read_bytes() == outputs["n_s0"].read_bytes()
         assert outputs["spe"].read_bytes() != outputs["rpe"].read_bytes()
@@ -195,6 +198,15 @@ class TestDetect:
                          "--input", str(follow), "--output", str(out)])
         assert code == 0
         assert len(read_scores(out)) == 80
+
+    def test_non_finite_model_is_rejected(self, tmp_path, series_csv, model_json, capsys):
+        doc = json.loads(model_json.read_text())
+        doc["U"][3] = float("nan")
+        model_json.write_text(json.dumps(doc))
+        code = cli.main(["detect", "--model", str(model_json), "--train", str(series_csv),
+                         "--input", str(series_csv), "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "orthonormality" in capsys.readouterr().err
 
     def test_projection_methods_require_model(self, tmp_path, series_csv, capsys):
         code = cli.main(["detect", "--input", str(series_csv),

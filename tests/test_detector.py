@@ -65,6 +65,19 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        ("M1", 30.5), ("n_s", 2.0), ("retrain_every", 2.5), ("t_max", 300.5),
+        ("retrain_stop_len", 300.5), ("memory_cap", 2.5), ("M1", "30"),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DetectorConfig(**{field: value})
+
+    def test_numpy_integers_are_counts(self):
+        cfg = DetectorConfig(M1=np.int64(20), n_s=np.int32(3), t_max=np.int64(60),
+                             retrain_stop_len=np.int64(200), memory_cap=np.int16(50))
+        assert cfg.rank_cap == 10
+
 
 class TestResidualMemory:
     def test_cdf_is_strictly_less_fraction(self):

@@ -2,6 +2,7 @@
 and report serialization."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from rpe.evaluation import (
     max_f1,
     method_scores,
     pr_curve,
-    report_to_dict,
     run_labeled_series,
     run_scenario,
     scenario_run_series,
@@ -179,7 +179,7 @@ class TestRunScenario:
     def test_deterministic_across_calls(self):
         sc = Scenario(name="d", n_runs=2, methods=("iid",), total_len=180, train_len=100)
         a, b = run_scenario(sc), run_scenario(sc)
-        assert report_to_dict(a) == report_to_dict(b)
+        assert asdict(a) == asdict(b)
 
     def test_curve_sink_sees_every_run(self):
         calls = []
@@ -209,7 +209,7 @@ class TestReportSerialization:
         path = tmp_path / "report.json"
         write_report(report, path)
         loaded = json.loads(path.read_text())
-        assert loaded == report_to_dict(report)
+        assert loaded == json.loads(json.dumps(asdict(report)))
         assert loaded["scenario"] == "io"
         assert loaded["n_runs"] == 2
         assert list(loaded["methods"]) == ["iid"]

@@ -38,9 +38,9 @@ def test_embedding_round_trip(case):
     np.testing.assert_array_equal(recovered, values)
     # Every column is the corresponding sliding window.
     n_cols = values.size - window + 1
-    assert matrix.data.shape == (window, n_cols)
+    assert matrix.shape == (window, n_cols)
     for j in (0, n_cols - 1):
-        np.testing.assert_array_equal(matrix.data[:, j], values[j : j + window])
+        np.testing.assert_array_equal(matrix[:, j], values[j : j + window])
 
 
 @settings(max_examples=1000, deadline=None)

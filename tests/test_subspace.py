@@ -80,7 +80,7 @@ class TestSelectRank:
             + 0.9 * np.cos(2 * np.pi * j / 11 + 4.0),
         }
         for name, vals in classes.items():
-            x = build_trajectory(TimeSeries(values=vals), 30).data
+            x = build_trajectory(TimeSeries(values=vals), 30)
             s = np.linalg.svd(x, compute_uv=False)
             assert select_rank(s) <= 6, name
 
@@ -89,7 +89,7 @@ class TestEstimateSimple:
     def test_pure_cosine_captures_trajectory(self):
         t = pure_cosine()
         model = estimate_simple(t, 30, beta_percent=1.0)
-        x = build_trajectory(t, 30).data
+        x = build_trajectory(t, 30)
         rel = np.linalg.norm(x - model.U @ (model.U.T @ x)) / np.linalg.norm(x)
         assert rel < 0.05
 
@@ -147,14 +147,14 @@ class TestEstimateElementwise:
             ),
         )
         model = estimate_elementwise(contaminated, 30, alpha_percent=5.0)
-        b = build_trajectory(clean, 30).data
+        b = build_trajectory(clean, 30)
         rel = np.linalg.norm(b - model.U @ (model.U.T @ b)) / np.linalg.norm(b)
         assert rel < 0.05
 
     def test_alpha_zero_is_plain_svd(self):
         t = generate_clean(SynthSpec(length=300, seed=5))
         model = estimate_elementwise(t, 30, alpha_percent=0.0)
-        x = build_trajectory(t, 30).data
+        x = build_trajectory(t, 30)
         u_svd, _, _ = np.linalg.svd(x, full_matrices=False)
         assert max_angle_deg(model.U, u_svd[:, : model.r]) < 1e-8
 
@@ -163,7 +163,7 @@ class TestEstimateColumnwise:
     def test_drop_zero_is_plain_svd(self):
         t = generate_clean(SynthSpec(length=300, seed=5))
         model = estimate_columnwise(t, 30, drop_percent=0.0)
-        x = build_trajectory(t, 30).data
+        x = build_trajectory(t, 30)
         u_svd, _, _ = np.linalg.svd(x, full_matrices=False)
         assert max_angle_deg(model.U, u_svd[:, : model.r]) < 1e-8
 
@@ -172,7 +172,7 @@ class TestEstimateColumnwise:
         vals[50] += 100.0
         # The drop rule of estimate_columnwise at drop_percent=10: the 10 %
         # of columns the provisional basis explains worst.
-        x = build_trajectory(TimeSeries(values=vals), 30).data
+        x = build_trajectory(TimeSeries(values=vals), 30)
         left, spectrum, _ = np.linalg.svd(x, full_matrices=False)
         scores = column_outlyingness(x, left[:, : select_rank(spectrum)])
         dropped = np.argsort(-scores, kind="stable")[: math.ceil(0.10 * x.shape[1])]
@@ -221,9 +221,9 @@ class TestRobustnessUnderHeavyContamination:
             ref = fn(t, 30, rank_cap=8, **kw)
             con = fn(heavy, 30, rank_cap=8, **kw)
             angles[name] = max_angle_deg(ref.U, con.U)
-        x_heavy = build_trajectory(heavy, 30).data
+        x_heavy = build_trajectory(heavy, 30)
         u_plain, _, _ = np.linalg.svd(x_heavy, full_matrices=False)
-        x_clean = build_trajectory(t, 30).data
+        x_clean = build_trajectory(t, 30)
         u_clean, _, _ = np.linalg.svd(x_clean, full_matrices=False)
         angles["plain svd"] = max_angle_deg(u_clean[:, :8], u_plain[:, :8])
         print("contamination tilt (degrees):", {k: round(v, 2) for k, v in angles.items()})
@@ -282,6 +282,22 @@ class TestModelPersistence:
             SubspaceModel(
                 U=np.ones((4, 2)), r=2, M1=4, singular_values=np.array([1.0, 1.0])
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, tmp_path, bad):
+        from rpe.errors import NotOrthonormal
+
+        model = estimate_simple(pure_cosine(), 30)
+        U = np.array(model.U)
+        U[3, 0] = bad
+        with pytest.raises(NotOrthonormal):
+            SubspaceModel(U=U, r=model.r, M1=30, singular_values=model.singular_values)
+        doc = model_to_dict(model)
+        doc["U"][3 * model.r] = bad  # row 3, column 0; json writes NaN / Infinity
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NotOrthonormal):
+            load_model(path)
 
     def test_version_gate(self):
         t = pure_cosine()

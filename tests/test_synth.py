@@ -63,7 +63,7 @@ class TestGenerateClean:
             noise_sigma=0.0,
             period_ranges=((60.0, 60.0), (30.0, 30.0), (15.0, 15.0), (4.0, 4.0)),
         )
-        x = build_trajectory(generate_clean(spec), 30).data
+        x = build_trajectory(generate_clean(spec), 30)
         s = np.linalg.svd(x, compute_uv=False)
         assert int((s > 1e-8 * s[0]).sum()) == 8
 

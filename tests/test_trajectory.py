@@ -48,17 +48,17 @@ class TestTimeSeries:
 class TestBuildTrajectory:
     def test_small_example(self):
         tm = build_trajectory(TimeSeries(values=np.array([1.0, 2, 3, 4])), 2)
-        assert tm.data.shape == (2, 3)
-        np.testing.assert_array_equal(tm.data, [[1, 2, 3], [2, 3, 4]])
+        assert tm.shape == (2, 3)
+        np.testing.assert_array_equal(tm, [[1, 2, 3], [2, 3, 4]])
 
     def test_degenerate_single_sample(self):
         tm = build_trajectory(TimeSeries(values=np.array([5.0])), 1)
-        np.testing.assert_array_equal(tm.data, [[5.0]])
+        np.testing.assert_array_equal(tm, [[5.0]])
 
     def test_default_window_shape(self):
         tm = build_trajectory(TimeSeries(values=np.arange(100.0)), 30)
-        assert tm.data.shape == (30, 71)
-        assert tm.n_windows == 71
+        assert tm.shape == (30, 71)
+        assert tm.shape[1] == 71
 
     def test_window_too_large(self):
         with pytest.raises(WindowTooLarge):
@@ -67,30 +67,37 @@ class TestBuildTrajectory:
     def test_hankel_structure_and_indexing(self):
         vals = np.random.default_rng(0).standard_normal(40)
         tm = build_trajectory(TimeSeries(values=vals), 7)
-        m1, m2 = tm.data.shape
+        m1, m2 = tm.shape
         for i in range(1, m1):
             for j in range(m2 - 1):
-                assert tm.data[i, j] == tm.data[i - 1, j + 1]
+                assert tm[i, j] == tm[i - 1, j + 1]
         for i in range(m1):
             for j in range(m2):
-                assert tm.data[i, j] == vals[i + j]
+                assert tm[i, j] == vals[i + j]
 
     def test_column_equals_slice(self):
         vals = np.arange(20.0)
         tm = build_trajectory(TimeSeries(values=vals), 6)
-        for j in range(tm.n_windows):
-            np.testing.assert_array_equal(tm.data[:, j], vals[j : j + 6])
+        for j in range(tm.shape[1]):
+            np.testing.assert_array_equal(tm[:, j], vals[j : j + 6])
 
     def test_round_trip(self):
         vals = np.random.default_rng(3).standard_normal(33)
         tm = build_trajectory(TimeSeries(values=vals), 9)
         np.testing.assert_array_equal(trajectory_to_series(tm), vals)
 
+    def test_returns_a_read_only_copy(self):
+        vals = np.arange(10.0)
+        tm = build_trajectory(vals, 4)
+        assert not tm.flags.writeable and tm.flags.f_contiguous
+        vals[:] = -1.0
+        np.testing.assert_array_equal(tm[:, 0], [0.0, 1.0, 2.0, 3.0])
+
     def test_last_column_equals_last_window(self):
         vals = np.random.default_rng(1).standard_normal(25)
         t = TimeSeries(values=vals)
         tm = build_trajectory(t, 8)
-        np.testing.assert_array_equal(tm.data[:, -1], t.values[-8:])
+        np.testing.assert_array_equal(tm[:, -1], t.values[-8:])
 
 
 class TestCsv:

@@ -12,7 +12,14 @@ type, scores -inf, and the detector is retrained on the last 300 raw stamps,
 as the benchmark does. Per seed it prints the SHA-256 of `abs_residual` (with
 -inf at failed steps), its largest finite value, the RuntimeWarnings raised,
 the robust projections made and how many of them went to the QR solve of the
-kept rows, and the failed steps. Then, for every table named by `--tables`, it
+kept rows, and the failed steps. Then it runs the README's CLI workflow on
+the seed's `cli-workflow` inputs (2 000 training stamps, then
+min(`--steps`, 20 000) scored stamps, the config of CLI_CONFIG): train,
+coherence, detect warm and cold, spe, rpe with n_s = 0, ar and iid, and the
+two usage errors of detect. Each command prints one line: its exit code and
+the SHA-256 of its stdout, its stderr and every file it writes (commands run
+in a scratch directory with relative paths, so the bytes do not depend on
+where it lies). Then, for every table named by `--tables`, it
 prints each method's mean F1 in `rpe bench`, the QR solves of the table, and
 the SHA-256 of its per-run PR curve CSVs (`--emit-curves`), each file's name
 and bytes in sorted name order, so a bit changed in any run's scores shows
@@ -37,6 +44,26 @@ from pathlib import Path
 
 TRAIN_LEN = 300  # stream-long's training stamps, also the restart window
 ANOMALY_SHARE = 0.01
+CLI_TRAIN_LEN = 2_000  # cli-workflow's training stamps
+CLI_MAX_STEPS = 20_000  # cli-workflow's scored stamps
+CLI_CONFIG = {"estimator": "columnwise", "memory_cap": 200}
+_DETECT = ["detect", "--input", "series.csv", "--config", "config.json"]
+CLI_COMMANDS = {
+    "train": ["train", "--input", "train.csv", "--config", "config.json",
+              "--output", "model.json"],
+    "coherence": ["coherence", "--input", "train.csv", "--config", "config.json"],
+    "detect_warm": _DETECT + ["--model", "model.json", "--train", "train.csv",
+                              "--output", "warm.csv"],
+    "detect_cold": _DETECT + ["--model", "model.json", "--output", "cold.csv"],
+    "detect_spe": _DETECT + ["--method", "spe", "--model", "model.json",
+                             "--train", "train.csv", "--output", "spe.csv"],
+    "detect_n_s0": ["detect", "--input", "series.csv", "--config", "n_s0.json",
+                    "--model", "model.json", "--train", "train.csv", "--output", "n_s0.csv"],
+    "detect_ar": _DETECT + ["--method", "ar", "--train", "train.csv", "--output", "ar.csv"],
+    "detect_iid": _DETECT + ["--method", "iid", "--train", "train.csv", "--output", "iid.csv"],
+    "error_no_model": _DETECT + ["--output", "no_model.csv"],
+    "error_no_train": _DETECT + ["--method", "ar", "--output", "no_train.csv"],
+}
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -113,6 +140,7 @@ def report(args) -> int:
               f" runtime_warnings {sum(caught.values())}"
               f" projections {counts['projections']} qr_solves {counts['qr_solves']}"
               f" failed {len(failures)} at [{' '.join(failures)}]")
+        cli_report(seed, min(args.steps, CLI_MAX_STEPS), rpe.cli, inputs)
 
     for table in args.tables:
         counts.clear()
@@ -128,6 +156,40 @@ def report(args) -> int:
         print(f"bench {table}: " + " ".join(f"{m}={s['mean_f1']!r}" for m, s in methods.items())
               + f" qr_solves {counts['qr_solves']} curves_sha256 {curve_digest.hexdigest()}")
     return 0
+
+
+def cli_report(seed: int, steps: int, cli, inputs) -> None:
+    """Run CLI_COMMANDS in a scratch directory and print one digest line each."""
+    values, labels = inputs.make_series(seed, CLI_TRAIN_LEN + steps, CLI_TRAIN_LEN, ANOMALY_SHARE)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            inputs.write_series_csv("train.csv", values[:CLI_TRAIN_LEN], labels[:CLI_TRAIN_LEN])
+            inputs.write_series_csv("series.csv", values[CLI_TRAIN_LEN:], labels[CLI_TRAIN_LEN:])
+            Path("config.json").write_text(json.dumps(CLI_CONFIG))
+            Path("n_s0.json").write_text(json.dumps({**CLI_CONFIG, "n_s": 0}))
+            for name, argv in CLI_COMMANDS.items():
+                before = file_digests()
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                written = sorted(f"{path} {digest}" for path, digest in file_digests().items()
+                                 if before.get(path) != digest)
+                print(f"cli seed {seed} {name}: exit {code}"
+                      f" stdout {sha256(out.getvalue().encode())}"
+                      f" stderr {sha256(err.getvalue().encode())}"
+                      + "".join(f" {entry}" for entry in written))
+        finally:
+            os.chdir(home)
+
+
+def file_digests() -> dict[str, str]:
+    return {path.name: sha256(path.read_bytes()) for path in Path.cwd().iterdir()}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @contextlib.contextmanager
