@@ -45,7 +45,6 @@ from .evaluation import (
 )
 from .projection import (
     RobustProjectionResult,
-    l1_projection_oracle,
     robust_projection,
     simple_projection,
 )
@@ -71,7 +70,6 @@ from .trajectory import (
     TimeSeries,
     build_trajectory,
     read_csv,
-    trajectory_to_series,
     write_csv,
 )
 from . import errors
@@ -87,14 +85,12 @@ __all__ = [
     "BenchmarkReport", "MethodSummary", "PrCurvePoint", "Scenario",
     "TABLE_SCENARIOS", "max_f1", "method_scores", "pr_curve",
     "run_labeled_series", "run_scenario",
-    "RobustProjectionResult", "l1_projection_oracle", "robust_projection",
-    "simple_projection",
+    "RobustProjectionResult", "robust_projection", "simple_projection",
     "SubspaceModel", "estimate_columnwise", "estimate_elementwise",
     "estimate_simple", "load_model", "model_from_dict", "model_to_dict",
     "save_model", "select_rank",
     "AnomalySpec", "SynthSpec", "anomaly_scale", "generate_clean",
     "inject_anomalies",
-    "TimeSeries", "build_trajectory", "read_csv",
-    "trajectory_to_series", "write_csv",
+    "TimeSeries", "build_trajectory", "read_csv", "write_csv",
     "errors",
 ]

@@ -27,6 +27,12 @@ The residual memory is a sorted multiset with O(log n) insert and rank, and
 it persists across re-fits. Scores compare a residual with the past, so they
 are meaningful immediately after training and invariant to the residual
 scale.
+
+A step does no work whose result it drops. The model is checked against the
+config once, when a state gets it (a refit keeps rank + n_s <= M1 through
+rank_cap), so each step projects with projection.robust_coefficients, which
+checks nothing and returns only the coefficients. The score comes back as a
+ScoreRecord, an immutable NamedTuple.
 """
 
 from __future__ import annotations
@@ -35,12 +41,13 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from sortedcontainers import SortedList
 
-from .errors import NonFiniteValue, NotTrained, SeriesTooShort
-from .projection import robust_projection
+from .errors import BadBudget, NonFiniteValue, NotTrained, SeriesTooShort
+from .projection import robust_coefficients
 from .subspace import DEFAULT_RANK_CAP, ESTIMATORS, SubspaceModel
 from .trajectory import build_trajectory, series_values
 
@@ -71,8 +78,13 @@ class DetectorConfig:
         for name in ("M1", "n_s", "retrain_every", "t_max", "retrain_stop_len", "memory_cap"):
             value = getattr(self, name)
             optional = name in ("retrain_stop_len", "memory_cap")
-            if not (isinstance(value, numbers.Integral) or (optional and value is None)):
+            integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integer or (optional and value is None)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.replace_anomalous_values, bool):
+            raise ValueError(
+                f"replace_anomalous_values must be a bool, got {self.replace_anomalous_values!r}"
+            )
         if self.M1 < 2:
             raise ValueError("M1 must be at least 2")
         if not 0 <= self.n_s < self.M1:
@@ -132,9 +144,8 @@ class ResidualMemory:
         return tuple(self._order)
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One scored time stamp.
+class ScoreRecord(NamedTuple):
+    """One scored time stamp, an immutable named tuple.
 
     index is the absolute ordinal of the sample in the stream, counting the
     training samples first. replaced_value is the reconstruction written back
@@ -161,17 +172,31 @@ class DetectorState:
     history is given as a sequence of stored values, oldest first; only the
     last config.t_max are kept. Reading state.history returns a copy of the
     kept values.
+
+    This is the one place where a model meets a config, so step checks
+    neither: the model's window must be config.M1 (ValueError), its rank
+    must leave n_s rows to exclude (BadBudget), and the history must fill
+    the first window (SeriesTooShort).
     """
 
     def __init__(self, config: DetectorConfig, model: SubspaceModel | None,
                  memory: ResidualMemory, history, counter: int = 0,
                  samples_seen: int = 0):
+        kept = np.asarray(history, dtype=float)[-config.t_max:]
+        if model is not None:
+            if model.M1 != config.M1:
+                raise ValueError(f"model window {model.M1} does not match config M1 {config.M1}")
+            if model.r + config.n_s > config.M1:
+                raise BadBudget(f"n_s={config.n_s} with rank {model.r} and M1={config.M1}")
+            if kept.size < config.M1 - 1:
+                raise SeriesTooShort(
+                    f"a window needs {config.M1 - 1} history values, got {kept.size}"
+                )
         self.config = config
         self.model = model
         self.memory = memory
         self.counter = counter
         self.samples_seen = samples_seen
-        kept = np.asarray(history, dtype=float)[-config.t_max:]
         self._buffer = np.empty(config.t_max + HISTORY_SLACK)
         self._buffer[:kept.size] = kept
         self._start, self._end = 0, kept.size
@@ -224,10 +249,11 @@ def _seeded_state(model: SubspaceModel, values: np.ndarray,
         samples_seen=int(values.size),
     )
     windows = build_trajectory(state.history, config.M1)
-    u_last = model.U[-1, :]
+    U, n_s = model.U, config.n_s
+    u_last = U[-1, :]
     for j in range(windows.shape[1]):
         window = windows[:, j]
-        a_hat = robust_projection(model.U, window, config.n_s).a_hat
+        a_hat = robust_coefficients(U, window, n_s)
         state.memory.append(abs(window[-1] - float(a_hat @ u_last)))
     return state
 
@@ -257,8 +283,6 @@ def warm_start(model: SubspaceModel, t_train,
     was persisted earlier and detection resumes on new data.
     """
     config = config if config is not None else DetectorConfig()
-    if model.M1 != config.M1:
-        raise ValueError(f"model window {model.M1} does not match config M1 {config.M1}")
     values = series_values(t_train)
     if values.size < config.M1:
         raise SeriesTooShort(
@@ -274,7 +298,8 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
     committed, so a step that raises (NonFiniteValue, RankDeficient) leaves
     the state as it was.
     """
-    if state.model is None:
+    model = state.model
+    if model is None:
         raise NotTrained("call train() before step()")
     config = state.config
     index = state.samples_seen
@@ -282,8 +307,9 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
     if not math.isfinite(value):
         raise NonFiniteValue(index, "non-finite stream value")
 
-    a_hat = robust_projection(state.model.U, state._window(value), config.n_s).a_hat
-    reconstruction = float(a_hat @ state.model.U[-1, :])
+    U = model.U
+    a_hat = robust_coefficients(U, state._window(value), config.n_s)
+    reconstruction = float(a_hat @ U[-1, :])
     residual = value - reconstruction
     magnitude = abs(residual)
 
@@ -302,14 +328,7 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
         state._logical_len = min(state._logical_len, config.t_max)
         state.model = _fit_model(state.history, config)
 
-    return ScoreRecord(
-        index=index,
-        residual=residual,
-        abs_residual=magnitude,
-        cdf_score=cdf_score,
-        flagged=flagged,
-        replaced_value=replaced_value,
-    )
+    return ScoreRecord(index, residual, magnitude, cdf_score, flagged, replaced_value)
 
 
 def score_series(state: DetectorState, t) -> list[ScoreRecord]:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 from __future__ import annotations
 
@@ -58,14 +58,3 @@ class NoPositives(RpeError):
 class NotTrained(RpeError):
     """The detector state has no fitted model."""
 
-
-class DidNotConverge(UserWarning):
-    """Iterative solver hit its iteration cap.
-
-    Warning-level, not fatal: the last iterate is still returned and is
-    attached here as ``last_iterate``.
-    """
-
-    def __init__(self, message: str, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate

@@ -1,6 +1,6 @@
 """Projections of a window onto a learned basis.
 
-Three ways to explain a window x with an orthonormal basis U:
+Two ways to explain a window x with an orthonormal basis U:
 
 * ``simple_projection``: least squares over all rows, a_hat = U^T x. Cheap,
   but a corrupted coordinate leaks into every coefficient.
@@ -12,14 +12,17 @@ Three ways to explain a window x with an orthonormal basis U:
   B, so the solve is an n_s x n_s downdate (Woodbury); a window whose dropped
   rows leave the survivors badly conditioned, which is rare, goes to a plain
   QR of the survivors (np.linalg.qr, then solve_triangular).
-* ``l1_projection_oracle``: iteratively reweighted least squares for the l1
-  objective min_a ||x - U a||_1. Slower; used as an independent reference.
+
+The robust solve has one implementation, ``robust_coefficients``. It takes a
+window that is already checked and returns only the coefficients, so it is
+what the streaming detector calls at every step. ``robust_projection`` is the
+public entry point built on it: it checks the basis, the window and the
+budget, and returns the coefficients with the evidence behind them.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -27,19 +30,12 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dposv
 
-from .errors import (
-    BadBudget,
-    DidNotConverge,
-    DimensionMismatch,
-    NonFiniteValue,
-    RankDeficient,
-)
+from .errors import BadBudget, DimensionMismatch, NonFiniteValue, RankDeficient
 
 RANK_TOL = 1e-10
 # Smallest det(I - B B^T) at which the downdate solve is trusted; below it
 # the window goes to the QR solve (see _downdate_solve).
 DOWNDATE_FLOOR = 1e-3
-IRLS_SMOOTHING = 1e-8
 
 
 class RobustProjectionResult:
@@ -104,19 +100,39 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
     m, r = U.shape
     if n_s < 0 or n_s + r > m:
         raise BadBudget(f"n_s={n_s} with rank {r} and {m} rows")
+    a_hat = robust_coefficients(U, x, n_s)
+    # The core keeps no ranking. The same calls on the same arrays rank the
+    # rows again, so the evidence is the ranking the core used.
+    prelim, order = _rank_rows(U, x, U.T @ x)
+    return RobustProjectionResult(a_hat, prelim, U, x.copy(), order, m - n_s)
+
+
+def robust_coefficients(U: np.ndarray, x: np.ndarray, n_s: int) -> np.ndarray:
+    """a_hat of robust_projection(U, x, n_s), with nothing checked.
+
+    U must be a float64 basis, x a float64 window of U.shape[0] rows, and
+    0 <= n_s <= U.shape[0] - U.shape[1]. With n_s = 0 every row is kept, so
+    a_hat is U^T x and the rows are not ranked.
+    """
     a0 = U.T @ x
+    if n_s == 0:
+        return a0  # full-row least squares on an orthonormal basis
+    order = _rank_rows(U, x, a0)[1]
+    m = U.shape[0]
+    a_hat = _downdate_solve(U, x, order[m - n_s:])
+    if a_hat is None:
+        kept = order[: m - n_s]
+        kept.sort()
+        a_hat = _kept_row_solve(U, x, kept)
+    return a_hat
+
+
+def _rank_rows(U: np.ndarray, x: np.ndarray, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The preliminary residual |x - U a0|, and the rows by ascending residual
+    (a stable sort, so equal residuals keep ascending index)."""
     prelim = x - U @ a0
     np.abs(prelim, out=prelim)
-    order = prelim.argsort(kind="stable")
-    if n_s == 0:
-        a_hat = a0  # full-row least squares on an orthonormal basis
-    else:
-        a_hat = _downdate_solve(U, x, order[m - n_s:])
-        if a_hat is None:
-            kept = order[: m - n_s]
-            kept.sort()
-            a_hat = _kept_row_solve(U, x, kept)
-    return RobustProjectionResult(a_hat, prelim, U, x.copy(), order, m - n_s)
+    return prelim, prelim.argsort(kind="stable")
 
 
 def _downdate_solve(U: np.ndarray, x: np.ndarray, excluded: np.ndarray) -> np.ndarray | None:
@@ -141,11 +157,14 @@ def _downdate_solve(U: np.ndarray, x: np.ndarray, excluded: np.ndarray) -> np.nd
     # B^T is the F-ordered view of the C-ordered rows that the BLAS and
     # LAPACK wrappers read without a copy.
     b_t = U.take(excluded, axis=0).T
-    s = dsyrk(-1.0, b_t, beta=1.0, c=_identity(excluded.size), trans=1, lower=1)
-    chol, w, info = dposv(s, g @ b_t, lower=1, overwrite_a=1, overwrite_b=1)
+    # Positional arguments, which f2py parses faster than keywords: dsyrk's
+    # beta, c, trans, lower; dposv's lower, overwrite_a, overwrite_b; dgemv's
+    # beta, y, offx, incx, offy, incy, trans, overwrite_y.
+    s = dsyrk(-1.0, b_t, 1.0, _identity(excluded.size), 1, 1)
+    chol, w, info = dposv(s, g @ b_t, 1, 1, 1)
     if info != 0 or not math.prod(chol.diagonal().tolist()) ** 2 >= DOWNDATE_FLOOR:
         return None
-    a_hat = dgemv(1.0, b_t, w, beta=1.0, y=g, overwrite_y=1)
+    a_hat = dgemv(1.0, b_t, w, 1.0, g, 0, 1, 0, 1, 0, 1)
     # A sum of Python floats is finite only if every term is.
     return a_hat if math.isfinite(sum(a_hat.tolist())) else None
 
@@ -161,7 +180,7 @@ def _identity(n: int) -> np.ndarray:
 def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Least squares on the kept rows: QR of U[kept], then R a = Q^T x[kept].
 
-    The fallback of robust_projection for windows the downdate declines, and
+    The fallback of robust_coefficients for windows the downdate declines, and
     the only place that raises RankDeficient or NonFiniteValue for a window.
     A NaN on R's diagonal is not rank deficiency (numpy's min propagates it,
     and nan <= tol is false); it fails the finiteness test instead, which is
@@ -185,36 +204,3 @@ def _blamed_row(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> int:
     non-finite value or basis entry, else (overflow) the largest kept value."""
     bad = ~(np.isfinite(x[kept]) & np.isfinite(U[kept]).all(axis=1))
     return int(kept[np.argmax(bad)] if bad.any() else kept[np.argmax(np.abs(x[kept]))])
-
-
-def l1_projection_oracle(
-    U: np.ndarray,
-    x: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Minimise ||x - U a||_1 by iteratively reweighted least squares.
-
-    Weights are 1 / max(|residual_i|, 1e-8). Stops when the coefficient
-    change drops below tol; hitting max_iter emits a DidNotConverge warning
-    carrying the last iterate, which is still returned.
-    """
-    U, x = _validate(U, x)
-    a = U.T @ x
-    for _ in range(max_iter):
-        res = x - U @ a
-        w = 1.0 / np.maximum(np.abs(res), IRLS_SMOOTHING)
-        sw = np.sqrt(w)
-        a_new, *_ = np.linalg.lstsq(U * sw[:, None], x * sw, rcond=None)
-        delta = np.max(np.abs(a_new - a))
-        a = a_new
-        if delta < tol:
-            return a
-    warnings.warn(
-        DidNotConverge(
-            f"IRLS did not reach tol={tol} within {max_iter} iterations",
-            last_iterate=a,
-        )
-    )
-    return a
-

@@ -88,11 +88,6 @@ def build_trajectory(t, window_size: int) -> np.ndarray:
     return matrix
 
 
-def trajectory_to_series(matrix: np.ndarray) -> np.ndarray:
-    """Invert build_trajectory: first row, then the tail of the last column."""
-    return np.concatenate([matrix[0, :], matrix[1:, -1]])
-
-
 # CSV contract: one sample per row, columns timestamp,value[,label]; a header
 # row is tolerated and detected by a non-numeric value field.
 

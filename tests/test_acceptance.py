@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 from scipy.fft import dct
 
+from reference import l1_projection_oracle
 from rpe import cli
 from rpe.coherence import mu_squared
 from rpe.evaluation import TABLE_SCENARIOS, run_scenario
-from rpe.projection import l1_projection_oracle, robust_projection
+from rpe.projection import robust_projection
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TESTS = Path(__file__).resolve().parent

@@ -3,6 +3,7 @@ single-step scoring, value replacement, and series scoring."""
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from rpe import projection
 from rpe.detector import (
@@ -15,7 +16,13 @@ from rpe.detector import (
     train,
     warm_start,
 )
-from rpe.errors import NonFiniteValue, NotTrained, RankDeficient, SeriesTooShort
+from rpe.errors import (
+    BadBudget,
+    NonFiniteValue,
+    NotTrained,
+    RankDeficient,
+    SeriesTooShort,
+)
 from rpe.subspace import SubspaceModel
 from rpe.synth import (
     AnomalySpec,
@@ -29,6 +36,10 @@ from rpe.trajectory import TimeSeries
 
 def series(values) -> TimeSeries:
     return TimeSeries(values=np.asarray(values, dtype=float))
+
+
+def dct_frame(m1: int, cols) -> np.ndarray:
+    return dct(np.eye(m1), norm="ortho", axis=0)[:, list(cols)]
 
 
 class TestDetectorConfig:
@@ -77,6 +88,20 @@ class TestDetectorConfig:
         cfg = DetectorConfig(M1=np.int64(20), n_s=np.int32(3), t_max=np.int64(60),
                              retrain_stop_len=np.int64(200), memory_cap=np.int16(50))
         assert cfg.rank_cap == 10
+
+    @pytest.mark.parametrize(
+        "field", ["M1", "n_s", "retrain_every", "t_max", "retrain_stop_len", "memory_cap"]
+    )
+    def test_a_bool_is_not_a_count(self, field):
+        # bool is an Integral, so memory_cap=True would read as a cap of 1.
+        with pytest.raises(ValueError, match=field):
+            DetectorConfig(**{field: True})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_replacement_switch_must_be_a_bool(self, value):
+        # "false" is truthy, so it would switch replacement on.
+        with pytest.raises(ValueError, match="replace_anomalous_values"):
+            DetectorConfig(replace_anomalous_values=value)
 
 
 class TestResidualMemory:
@@ -270,6 +295,71 @@ class TestStep:
 
 def snapshot(st: DetectorState) -> tuple:
     return (list(st.history), st.counter, st.samples_seen, st.memory.values(), st.model)
+
+
+class TestProjectionCore:
+    """A step projects with robust_coefficients, which checks nothing, so the
+    model is checked against the config when a state gets it, and every
+    score must equal the one robust_projection gives for the same window."""
+
+    def test_warm_start_rejects_a_model_over_budget(self):
+        model, pattern = shift_invariant_model()  # rank 4, M1 = 30
+        with pytest.raises(BadBudget):
+            warm_start(model, series(pattern[:80]), config=DetectorConfig(n_s=27))
+
+    def test_a_hand_built_state_checks_its_model(self):
+        # A window of the wrong length would reach the core unchecked.
+        model, pattern = shift_invariant_model()
+        with pytest.raises(ValueError, match="does not match config M1"):
+            warm_start(model, series(pattern[:80]), config=DetectorConfig(M1=20))
+        with pytest.raises(SeriesTooShort):
+            DetectorState(config=DetectorConfig(), model=model, memory=ResidualMemory(),
+                          history=pattern[:28])
+        DetectorState(config=DetectorConfig(), model=model, memory=ResidualMemory(),
+                      history=pattern[:29])
+
+    @pytest.mark.parametrize("n_s, floor", [(5, None), (0, None), (5, np.inf)],
+                             ids=["rpe", "spe", "qr"])
+    def test_residuals_match_robust_projection_bit_for_bit(self, monkeypatch, n_s, floor):
+        # 400 steps with 2 % point anomalies and refits every 50 steps; "qr"
+        # sends every window to the QR solve of the kept rows.
+        if floor is not None:
+            monkeypatch.setattr(projection, "DOWNDATE_FLOOR", floor)
+        clean = generate_clean(SynthSpec(length=700, seed=3))
+        spec = AnomalySpec(fraction=0.02, seed=3, protect_prefix=300)
+        values = inject_anomalies(clean, spec).values
+        cfg = DetectorConfig(n_s=n_s, retrain_every=50, retrain_stop_len=10**6)
+        st = train(series(values[:300]), config=cfg)
+        for value in values[300:].tolist():
+            U = st.model.U
+            window = np.append(st.history[1 - cfg.M1:], value)
+            expected = value - float(
+                projection.robust_projection(U, window, n_s).a_hat @ U[-1, :])
+            assert step(st, value).residual == expected
+
+    def test_non_finite_kept_row_solve_blames_the_same_row(self):
+        # The overflowing window of test_projection: robust_projection, the
+        # core and step all raise NonFiniteValue for row 7, and the step
+        # commits nothing.
+        u = dct_frame(10, (1, 3))
+        x = np.where(np.arange(10) % 2, -1.7e308, 1.7e308)
+        x[7] = -1.75e308
+        st = DetectorState(
+            config=DetectorConfig(M1=10, n_s=2, t_max=20),
+            model=SubspaceModel(U=u, r=2, M1=10, singular_values=np.ones(2)),
+            memory=ResidualMemory(),
+            history=x[:-1],
+        )
+        before = snapshot(st)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValue) as public:
+                projection.robust_projection(u, x, 2)
+            with pytest.raises(NonFiniteValue) as core:
+                projection.robust_coefficients(u, x, 2)
+            with pytest.raises(NonFiniteValue) as stepped:
+                step(st, float(x[-1]))
+        assert public.value.index == core.value.index == stepped.value.index == 7
+        assert snapshot(st) == before
 
 
 class TestStepAtomicity:

@@ -9,17 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
-from rpe.errors import (
-    BadBudget,
-    DidNotConverge,
-    DimensionMismatch,
-    NonFiniteValue,
-    RankDeficient,
-)
+from reference import DidNotConverge, l1_projection_oracle
+from rpe.errors import BadBudget, DimensionMismatch, NonFiniteValue, RankDeficient
 from rpe.projection import (
     DOWNDATE_FLOOR,
     _kept_row_solve,
-    l1_projection_oracle,
     robust_projection,
     simple_projection,
 )

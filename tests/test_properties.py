@@ -17,7 +17,8 @@ from rpe.detector import ResidualMemory
 from rpe.errors import CannotPlace
 from rpe.evaluation import max_f1
 from rpe.synth import AnomalySpec, SynthSpec, generate_clean, inject_anomalies
-from rpe.trajectory import TimeSeries, build_trajectory, trajectory_to_series
+from reference import trajectory_to_series
+from rpe.trajectory import TimeSeries, build_trajectory
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

