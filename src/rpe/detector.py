@@ -31,7 +31,9 @@ scale.
 A step does no work whose result it drops. The model is checked against the
 config once, when a state gets it (a refit keeps rank + n_s <= M1 through
 rank_cap), so each step projects with projection.robust_coefficients, which
-checks nothing and returns only the coefficients. The score comes back as a
+checks nothing and returns only the coefficients. This module calls it by
+the name robust_projection, the name of the projection layer that
+bench/tracing.py times under detector.step. The score comes back as a
 ScoreRecord, an immutable NamedTuple.
 """
 
@@ -47,7 +49,7 @@ import numpy as np
 from sortedcontainers import SortedList
 
 from .errors import BadBudget, NonFiniteValue, NotTrained, SeriesTooShort
-from .projection import robust_coefficients
+from .projection import robust_coefficients as robust_projection
 from .subspace import DEFAULT_RANK_CAP, ESTIMATORS, SubspaceModel
 from .trajectory import build_trajectory, series_values
 
@@ -253,7 +255,7 @@ def _seeded_state(model: SubspaceModel, values: np.ndarray,
     u_last = U[-1, :]
     for j in range(windows.shape[1]):
         window = windows[:, j]
-        a_hat = robust_coefficients(U, window, n_s)
+        a_hat = robust_projection(U, window, n_s)
         state.memory.append(abs(window[-1] - float(a_hat @ u_last)))
     return state
 
@@ -308,7 +310,7 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
         raise NonFiniteValue(index, "non-finite stream value")
 
     U = model.U
-    a_hat = robust_coefficients(U, state._window(value), config.n_s)
+    a_hat = robust_projection(U, state._window(value), config.n_s)
     reconstruction = float(a_hat @ U[-1, :])
     residual = value - reconstruction
     magnitude = abs(residual)

@@ -13,11 +13,12 @@ Two ways to explain a window x with an orthonormal basis U:
   rows leave the survivors badly conditioned, which is rare, goes to a plain
   QR of the survivors (np.linalg.qr, then solve_triangular).
 
-The robust solve has one implementation, ``robust_coefficients``. It takes a
-window that is already checked and returns only the coefficients, so it is
-what the streaming detector calls at every step. ``robust_projection`` is the
-public entry point built on it: it checks the basis, the window and the
-budget, and returns the coefficients with the evidence behind them.
+The robust solve has one implementation: rank the rows once, then
+``_exclude_and_solve``. ``robust_coefficients`` runs it on a window that is
+already checked and returns only the coefficients, so it is what the
+streaming detector calls at every step. ``robust_projection`` is the public
+entry point: it checks the basis, the window and the budget, runs the same
+ranking and solve, and returns the coefficients with the evidence behind them.
 """
 
 from __future__ import annotations
@@ -100,10 +101,9 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
     m, r = U.shape
     if n_s < 0 or n_s + r > m:
         raise BadBudget(f"n_s={n_s} with rank {r} and {m} rows")
-    a_hat = robust_coefficients(U, x, n_s)
-    # The core keeps no ranking. The same calls on the same arrays rank the
-    # rows again, so the evidence is the ranking the core used.
-    prelim, order = _rank_rows(U, x, U.T @ x)
+    a0 = U.T @ x
+    prelim, order = _rank_rows(U, x, a0)
+    a_hat = a0 if n_s == 0 else _exclude_and_solve(U, x, order, n_s)
     return RobustProjectionResult(a_hat, prelim, U, x.copy(), order, m - n_s)
 
 
@@ -117,13 +117,16 @@ def robust_coefficients(U: np.ndarray, x: np.ndarray, n_s: int) -> np.ndarray:
     a0 = U.T @ x
     if n_s == 0:
         return a0  # full-row least squares on an orthonormal basis
-    order = _rank_rows(U, x, a0)[1]
+    return _exclude_and_solve(U, x, _rank_rows(U, x, a0)[1], n_s)
+
+
+def _exclude_and_solve(U: np.ndarray, x: np.ndarray, order: np.ndarray, n_s: int) -> np.ndarray:
+    """Least squares without the last n_s >= 1 rows of order: the downdate,
+    else the QR of the kept rows. order is not changed."""
     m = U.shape[0]
     a_hat = _downdate_solve(U, x, order[m - n_s:])
     if a_hat is None:
-        kept = order[: m - n_s]
-        kept.sort()
-        a_hat = _kept_row_solve(U, x, kept)
+        a_hat = _kept_row_solve(U, x, np.sort(order[: m - n_s]))
     return a_hat
 
 

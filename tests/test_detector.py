@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct
 
-from rpe import projection
+from rpe import detector, projection
 from rpe.detector import (
     DetectorConfig,
     DetectorState,
@@ -360,6 +360,23 @@ class TestProjectionCore:
                 step(st, float(x[-1]))
         assert public.value.index == core.value.index == stepped.value.index == 7
         assert snapshot(st) == before
+
+    def test_replay_and_steps_look_up_the_projection_by_module_name(self, monkeypatch):
+        # A wrapper put on detector.robust_projection (as the benchmark's
+        # per-layer tracing does) sees every projection of the replay and
+        # of each step, and each call returns the core's coefficients.
+        calls = []
+
+        def counted(U, x, n_s):
+            calls.append(n_s)
+            return projection.robust_coefficients(U, x, n_s)
+
+        monkeypatch.setattr(detector, "robust_projection", counted)
+        model, pattern = shift_invariant_model()  # M1 = 30
+        st = warm_start(model, series(pattern[:80]))
+        assert calls == [5] * (80 - 30 + 1)
+        step(st, float(pattern[80]))
+        assert len(calls) == 80 - 30 + 2
 
 
 class TestStepAtomicity:

@@ -106,11 +106,7 @@ def report(args) -> int:
         raise SystemExit(f"rpe imported from {rpe.__file__}, not from {checkout}")
 
     counts = Counter()
-    # The projection that the detector calls: the coefficients-only core, or
-    # robust_projection in a checkout that predates the core.
-    projector = ("robust_coefficients" if hasattr(detector, "robust_coefficients")
-                 else "robust_projection")
-    project, kept_row_solve = getattr(detector, projector), projection._kept_row_solve
+    project, kept_row_solve = detector.robust_projection, projection._kept_row_solve
 
     def counted_projection(*a):
         counts["projections"] += 1
@@ -120,7 +116,7 @@ def report(args) -> int:
         counts["qr_solves"] += 1
         return kept_row_solve(*a)
 
-    setattr(detector, projector, counted_projection)
+    detector.robust_projection = counted_projection
     projection._kept_row_solve = counted_kept_row_solve
 
     for seed in args.seeds:
