@@ -15,7 +15,7 @@ import numpy as np
 from scipy.fft import dct
 
 from rpe.coherence import coherence_report, mu_squared
-from rpe.projection import robust_projection, simple_projection
+from rpe.projection import robust_projection
 
 
 def cosine_frame(m1: int, cols: list[int]) -> np.ndarray:
@@ -37,11 +37,11 @@ def main() -> None:
     print("three-dimensional cosine subspace, window of 30, two spikes at "
           "1000x the signal scale\n")
 
-    a_plain, residual_plain = simple_projection(u, corrupted)
+    plain = robust_projection(u, corrupted, 0)  # n_s = 0 keeps every row
     print("plain projection (least squares on all rows)")
-    print(f"  coefficient error : {np.abs(a_plain - a_true).max():.3e}")
+    print(f"  coefficient error : {np.abs(plain.a_hat - a_true).max():.3e}")
     print(f"  residual spread over clean rows: "
-          f"{np.abs(np.delete(residual_plain, [7, 19])).max():.3e} "
+          f"{np.abs(np.delete(plain.residual, [7, 19])).max():.3e} "
           "(the spikes smear into every row)\n")
 
     result = robust_projection(u, corrupted, n_s)

@@ -43,11 +43,7 @@ from .evaluation import (
     run_labeled_series,
     run_scenario,
 )
-from .projection import (
-    RobustProjectionResult,
-    robust_projection,
-    simple_projection,
-)
+from .projection import RobustProjectionResult, robust_projection
 from .subspace import (
     SubspaceModel,
     estimate_columnwise,
@@ -85,7 +81,7 @@ __all__ = [
     "BenchmarkReport", "MethodSummary", "PrCurvePoint", "Scenario",
     "TABLE_SCENARIOS", "max_f1", "method_scores", "pr_curve",
     "run_labeled_series", "run_scenario",
-    "RobustProjectionResult", "robust_projection", "simple_projection",
+    "RobustProjectionResult", "robust_projection",
     "SubspaceModel", "estimate_columnwise", "estimate_elementwise",
     "estimate_simple", "load_model", "model_from_dict", "model_to_dict",
     "save_model", "select_rank",

@@ -13,7 +13,8 @@ Four methods, one record shape:
 
 Every detector exposes fit(values) and step(value) -> ScoreRecord so the
 evaluation harness can drive them interchangeably; step before fit raises
-NotTrained.
+NotTrained, and a NaN or infinity given to fit or step raises NonFiniteValue
+before any state changes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import detector
 from .detector import DetectorConfig, DetectorState, ResidualMemory, ScoreRecord
-from .errors import NotTrained, SeriesTooShort
+from .errors import NonFiniteValue, NotTrained, SeriesTooShort
 from .subspace import SubspaceModel
 from .trajectory import series_values
 
@@ -91,6 +92,13 @@ class _ReferenceDetector:
         self.threshold = threshold
         self._index = 0
 
+    def _checked(self, value: float) -> float:
+        """value as a float; a NaN or infinity is rejected before it is used."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise NonFiniteValue(self._index, "non-finite stream value")
+        return value
+
     def _record(self, residual: float, score: float) -> ScoreRecord:
         record = ScoreRecord(
             index=self._index,
@@ -131,10 +139,10 @@ class IidDetector(_ReferenceDetector):
     def step(self, value: float) -> ScoreRecord:
         if self.buffer is None:
             raise NotTrained("call fit() before step()")
+        v = self._checked(value)
         buf = np.asarray(self.buffer)
         mean = float(buf.mean())
         std = float(buf.std())
-        v = float(value)
         if std == 0.0:
             score = 0.0 if v == mean else 1.0
         else:
@@ -183,9 +191,10 @@ class ArDetector(_ReferenceDetector):
     def step(self, value: float) -> ScoreRecord:
         if self.weights is None:
             raise NotTrained("call fit() before step()")
+        value = self._checked(value)
         context = np.asarray(self.history[-self.window:])
-        residual = float(value) - float(self.weights @ context)
-        self.history.append(float(value))
+        residual = value - float(self.weights @ context)
+        self.history.append(value)
         self.counter += 1
         if self.counter % self.retrain_every == 0:
             self.weights = _fit_ar_weights(np.asarray(self.history), self.window)

@@ -34,7 +34,7 @@ from .evaluation import (
     run_scenario,
     write_report,
 )
-from .subspace import ESTIMATORS, load_model, save_model
+from .subspace import load_model, save_model
 from .synth import AnomalySpec, SynthSpec, generate_clean, inject_anomalies
 from .trajectory import read_csv, write_csv
 
@@ -123,7 +123,7 @@ def _cmd_detect(args) -> int:
 def _cmd_coherence(args) -> int:
     series = read_csv(args.input, impute_median=args.impute_median)
     config = _load_config(args.config)
-    model = ESTIMATORS[config.estimator](series.values, config.M1, rank_cap=config.rank_cap)
+    model = detector_mod.fit_model(series.values, config)
     report = coherence_report(model.U, n_starts=args.n_starts, seed=args.seed)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0

@@ -234,7 +234,8 @@ class DetectorState:
         self._end = end
 
 
-def _fit_model(values: np.ndarray, config: DetectorConfig) -> SubspaceModel:
+def fit_model(values: np.ndarray, config: DetectorConfig) -> SubspaceModel:
+    """Fit the subspace model the config names: its estimator, M1 and rank cap."""
     estimator = ESTIMATORS[config.estimator]
     return estimator(values, config.M1, rank_cap=config.rank_cap)
 
@@ -273,7 +274,7 @@ def train(t_train, config: DetectorConfig | None = None) -> DetectorState:
         raise SeriesTooShort(
             f"training needs at least {2 * config.M1} samples, got {values.size}"
         )
-    return _seeded_state(_fit_model(values[-config.t_max:], config), values, config)
+    return _seeded_state(fit_model(values[-config.t_max:], config), values, config)
 
 
 def warm_start(model: SubspaceModel, t_train,
@@ -328,7 +329,7 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
 
     if state.counter % config.retrain_every == 0 and state._logical_len < config.retrain_stop_len:
         state._logical_len = min(state._logical_len, config.t_max)
-        state.model = _fit_model(state.history, config)
+        state.model = fit_model(state.history, config)
 
     return ScoreRecord(index, residual, magnitude, cdf_score, flagged, replaced_value)
 

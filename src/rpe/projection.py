@@ -1,30 +1,29 @@
-"""Projections of a window onto a learned basis.
+"""Robust projection of a window onto a learned basis.
 
-Two ways to explain a window x with an orthonormal basis U:
+``robust_projection`` explains a window x with an orthonormal basis U: score
+each coordinate by its preliminary residual |x - U U^T x|, drop the n_s worst
+rows, and re-solve least squares on the survivors. Closed form, no iteration,
+and exact when the corruption budget covers the corrupted rows and the basis
+is incoherent enough. With n_s = 0 every row is kept, which is the plain
+projection U^T x. Because U is orthonormal, the survivors' normal matrix is
+I - B^T B for the dropped rows B, so the solve is an n_s x n_s downdate
+(Woodbury); a window whose dropped rows leave the survivors badly
+conditioned, which is rare, goes to a plain QR of the survivors
+(np.linalg.qr, then solve_triangular).
 
-* ``simple_projection``: least squares over all rows, a_hat = U^T x. Cheap,
-  but a corrupted coordinate leaks into every coefficient.
-* ``robust_projection``: score each coordinate by its preliminary residual
-  |x - U U^T x|, drop the n_s worst rows, and re-solve least squares on the
-  survivors. Closed form, no iteration, and exact when the corruption budget
-  covers the corrupted rows and the basis is incoherent enough. Because U is
-  orthonormal, the survivors' normal matrix is I - B^T B for the dropped rows
-  B, so the solve is an n_s x n_s downdate (Woodbury); a window whose dropped
-  rows leave the survivors badly conditioned, which is rare, goes to a plain
-  QR of the survivors (np.linalg.qr, then solve_triangular).
-
-The robust solve has one implementation: rank the rows once, then
-``_exclude_and_solve``. ``robust_coefficients`` runs it on a window that is
-already checked and returns only the coefficients, so it is what the
-streaming detector calls at every step. ``robust_projection`` is the public
-entry point: it checks the basis, the window and the budget, runs the same
-ranking and solve, and returns the coefficients with the evidence behind them.
+The solve has one implementation: rank the rows once, then
+``_exclude_and_solve``. ``robust_projection`` is the public entry point: it
+checks the basis, the window and the budget, and returns the coefficients
+with the evidence behind them. ``robust_coefficients`` is the streaming
+detector's core: it runs the same ranking and solve on a window that is
+already checked, and returns only the coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -39,39 +38,27 @@ RANK_TOL = 1e-10
 DOWNDATE_FLOOR = 1e-3
 
 
-class RobustProjectionResult:
+class RobustProjectionResult(NamedTuple):
     """Coefficients plus the evidence used to compute them.
 
     kept_rows is the ascending index set of rows that survived exclusion;
     residual is x - U a_hat over all rows; prelim_residual is the first-pass
-    score |x - U U^T x| that decided which rows to keep. kept_rows and
-    residual are computed on first read, from a copy of the window taken by
-    the call, so a caller that reads only a_hat does not pay for them and a
-    caller that reuses its window buffer does not change them.
+    score |x - U U^T x| that decided which rows to keep.
     """
 
-    def __init__(self, a_hat: np.ndarray, prelim_residual: np.ndarray,
-                 basis: np.ndarray, window: np.ndarray, order: np.ndarray,
-                 n_kept: int):
-        self.a_hat = a_hat
-        self.prelim_residual = prelim_residual
-        self._basis = basis
-        self._window = window
-        self._order = order  # rows by ascending preliminary residual
-        self._n_kept = n_kept
-
-    @cached_property
-    def kept_rows(self) -> np.ndarray:
-        kept = self._order[: self._n_kept]
-        kept.sort()
-        return kept
-
-    @cached_property
-    def residual(self) -> np.ndarray:
-        return self._window - self._basis @ self.a_hat
+    a_hat: np.ndarray
+    kept_rows: np.ndarray
+    residual: np.ndarray
+    prelim_residual: np.ndarray
 
 
-def _validate(U, x):
+def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectionResult:
+    """Exclude the n_s most suspect coordinates, then least-squares the rest.
+
+    Rows are ranked by the preliminary residual |x - U U^T x|; ties resolve
+    by ascending value then ascending index, so results are deterministic.
+    With n_s = 0 every row is kept, and a_hat is U^T x.
+    """
     U = np.asarray(U, dtype=float)
     x = np.asarray(x, dtype=float)
     if U.ndim != 2:
@@ -80,31 +67,13 @@ def _validate(U, x):
         raise DimensionMismatch(
             f"window of length {x.size} does not match basis with {U.shape[0]} rows"
         )
-    return U, x
-
-
-def simple_projection(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project onto the basis using every coordinate: a_hat = U^T x."""
-    U, x = _validate(U, x)
-    a_hat = U.T @ x
-    return a_hat, x - U @ a_hat
-
-
-def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectionResult:
-    """Exclude the n_s most suspect coordinates, then least-squares the rest.
-
-    Rows are ranked by the preliminary residual |x - U U^T x|; ties resolve
-    by ascending value then ascending index, so results are deterministic.
-    With n_s = 0 this reduces exactly to simple_projection.
-    """
-    U, x = _validate(U, x)
     m, r = U.shape
     if n_s < 0 or n_s + r > m:
         raise BadBudget(f"n_s={n_s} with rank {r} and {m} rows")
     a0 = U.T @ x
     prelim, order = _rank_rows(U, x, a0)
     a_hat = a0 if n_s == 0 else _exclude_and_solve(U, x, order, n_s)
-    return RobustProjectionResult(a_hat, prelim, U, x.copy(), order, m - n_s)
+    return RobustProjectionResult(a_hat, np.sort(order[: m - n_s]), x - U @ a_hat, prelim)
 
 
 def robust_coefficients(U: np.ndarray, x: np.ndarray, n_s: int) -> np.ndarray:

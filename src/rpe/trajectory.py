@@ -35,10 +35,7 @@ class TimeSeries:
             raise ValueError("values must be one-dimensional")
         if values.size == 0:
             raise ValueError("series must contain at least one sample")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise NonFiniteValue(int(bad[0]))
-        values = values.copy()
+        values = _finite(values).copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.labels is not None:
@@ -59,12 +56,21 @@ class TimeSeries:
 
 
 def series_values(t) -> np.ndarray:
-    """Accept a TimeSeries or anything array-like; return a float vector."""
+    """Accept a TimeSeries or anything array-like; return a finite float
+    vector, or raise NonFiniteValue at the first NaN or infinity."""
     if isinstance(t, TimeSeries):
         return t.values
     values = np.asarray(t, dtype=float)
     if values.ndim != 1:
         raise ValueError("expected a one-dimensional series")
+    return _finite(values)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, unless one is NaN or infinite: NonFiniteValue names the first."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteValue(int(bad[0]))
     return values
 
 

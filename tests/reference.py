@@ -1,14 +1,12 @@
-"""Reference code that only the tests use: an independent l1 solver to check
-the closed-form robust projection against, and the inverse of the trajectory
-embedding."""
+"""Reference code that only the tests use: the plain and an independent l1
+projection to check the closed-form robust projection against, and the
+inverse of the trajectory embedding."""
 
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
-
-from rpe.projection import _validate
 
 IRLS_SMOOTHING = 1e-8
 
@@ -25,6 +23,13 @@ class DidNotConverge(UserWarning):
         self.last_iterate = last_iterate
 
 
+def simple_projection(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares on every row of an orthonormal basis: a_hat = U^T x, and
+    the residual x - U a_hat."""
+    a_hat = U.T @ x
+    return a_hat, x - U @ a_hat
+
+
 def l1_projection_oracle(
     U: np.ndarray,
     x: np.ndarray,
@@ -37,7 +42,8 @@ def l1_projection_oracle(
     change drops below tol; hitting max_iter emits a DidNotConverge warning
     carrying the last iterate, which is still returned.
     """
-    U, x = _validate(U, x)
+    U = np.asarray(U, dtype=float)
+    x = np.asarray(x, dtype=float)
     a = U.T @ x
     for _ in range(max_iter):
         res = x - U @ a

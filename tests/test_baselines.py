@@ -17,7 +17,7 @@ from rpe.baselines import (
     make_detector,
 )
 from rpe.detector import DetectorConfig, ScoreRecord, score_series, train
-from rpe.errors import NotTrained, SeriesTooShort
+from rpe.errors import NonFiniteValue, NotTrained, SeriesTooShort
 from rpe.synth import SynthSpec, anomaly_scale, generate_clean
 from rpe.trajectory import TimeSeries
 
@@ -196,3 +196,55 @@ class TestAdapters:
                 rec = det.step(float(clean.values[150 + k]))
             outputs[method] = rec.abs_residual
         assert outputs["spe"] > outputs["rpe"]
+
+
+def reference_state(det) -> tuple:
+    """Everything an iid or ar detector carries from one step to the next."""
+    if isinstance(det, IidDetector):
+        return det._index, list(det.buffer)
+    return (det._index, det.counter, det.weights.tolist(), list(det.history),
+            det.memory.values())
+
+
+class TestNonFiniteInput:
+    """A NaN or infinity is rejected with NonFiniteValue before any state
+    changes, so one bad value cannot poison a baseline's later scores."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["iid", "ar"])
+    def test_step_rejects_before_any_change(self, method, bad, clean):
+        det = make_detector(method).fit(clean.values[:150])
+        before = reference_state(det)
+        with pytest.raises(NonFiniteValue) as info:
+            det.step(bad)
+        assert info.value.index == 150
+        assert str(info.value) == "non-finite stream value at index 150"
+        assert reference_state(det) == before
+        # The rejected value leaves no trace in the next 150 scores, which
+        # span an ar refit.
+        fresh = make_detector(method).fit(clean.values[:150])
+        for v in clean.values[150:].tolist():
+            assert det.step(v) == fresh.step(v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["rpe", "spe", "iid", "ar"])
+    def test_fit_rejects_a_non_finite_training_value(self, method, bad, clean):
+        values = clean.values[:150].copy()
+        values[40] = bad
+        det = make_detector(method)
+        with pytest.raises(NonFiniteValue) as info:
+            det.fit(values)
+        assert info.value.index == 40
+        with pytest.raises(NotTrained):
+            det.step(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_warm_start_rejects_a_non_finite_value(self, bad, clean):
+        model = train(clean.values[:150]).model
+        values = clean.values[150:200].copy()
+        values[40] = bad
+        det = RpeDetector()
+        with pytest.raises(NonFiniteValue) as info:
+            det.warm_start(model, values)
+        assert info.value.index == 40
+        assert det.state is None

@@ -160,6 +160,20 @@ class TestTrain:
         with pytest.raises(SeriesTooShort):
             train(series(np.ones(59)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_value_is_typed(self, bad):
+        # A plain array is checked as a TimeSeries is, before any fit.
+        values = generate_clean(SynthSpec(length=100, seed=0)).values.copy()
+        values[37] = bad
+        with pytest.raises(NonFiniteValue) as trained:
+            train(values)
+        model, pattern = shift_invariant_model()
+        warm = pattern[:80].copy()
+        warm[37] = bad
+        with pytest.raises(NonFiniteValue) as warmed:
+            warm_start(model, warm)
+        assert trained.value.index == warmed.value.index == 37
+
 
 def shift_invariant_model() -> tuple[SubspaceModel, np.ndarray]:
     """A 4-dimensional basis spanning two cosines at every phase, plus a

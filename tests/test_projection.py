@@ -1,5 +1,5 @@
-"""Window projection tests: simple least squares, closed-form robust solve,
-and the iterative l1 reference solver."""
+"""Window projection tests: the plain projection (no row excluded), the
+closed-form robust solve, and the iterative l1 reference solver."""
 
 import itertools
 
@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
-from reference import DidNotConverge, l1_projection_oracle
+from reference import DidNotConverge, l1_projection_oracle, simple_projection
+from rpe import projection
 from rpe.errors import BadBudget, DimensionMismatch, NonFiniteValue, RankDeficient
 from rpe.projection import (
     DOWNDATE_FLOOR,
+    RobustProjectionResult,
     _kept_row_solve,
     robust_projection,
-    simple_projection,
 )
 
 
@@ -23,44 +24,50 @@ def dct_frame(m1: int, cols) -> np.ndarray:
     return dct(np.eye(m1), norm="ortho", axis=0)[:, list(cols)]
 
 
+def plain_projection(u, x):
+    """The plain projection: robust_projection with no row excluded."""
+    result = robust_projection(u, x, 0)
+    return result.a_hat, result.residual
+
+
 class TestSimpleProjection:
     def test_in_span(self):
         u = dct_frame(12, (1, 3, 5))
         a = np.array([2.0, -1.0, 0.5])
-        a_hat, residual = simple_projection(u, u @ a)
+        a_hat, residual = plain_projection(u, u @ a)
         np.testing.assert_allclose(a_hat, a, atol=1e-12)
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
 
     def test_orthogonal_input(self):
         u = np.eye(4)[:, :2]
         x = np.array([0.0, 0.0, 3.0, -4.0])
-        a_hat, residual = simple_projection(u, x)
+        a_hat, residual = plain_projection(u, x)
         np.testing.assert_allclose(a_hat, 0.0, atol=1e-15)
         np.testing.assert_array_equal(residual, x)
 
     def test_coordinate_projection(self):
         u = np.eye(3)[:, [0]]
-        a_hat, residual = simple_projection(u, np.array([2.0, 5.0, -1.0]))
+        a_hat, residual = plain_projection(u, np.array([2.0, 5.0, -1.0]))
         np.testing.assert_allclose(a_hat, [2.0])
         np.testing.assert_allclose(residual, [0.0, 5.0, -1.0])
 
     def test_residual_orthogonal_to_columns(self):
         rng = np.random.default_rng(0)
         u, _ = np.linalg.qr(rng.standard_normal((10, 3)))
-        _, residual = simple_projection(u, rng.standard_normal(10))
+        _, residual = plain_projection(u, rng.standard_normal(10))
         np.testing.assert_allclose(u.T @ residual, 0.0, atol=1e-12)
 
     def test_idempotence(self):
         rng = np.random.default_rng(1)
         u, _ = np.linalg.qr(rng.standard_normal((8, 2)))
-        a_hat, _ = simple_projection(u, rng.standard_normal(8))
-        again, residual = simple_projection(u, u @ a_hat)
+        a_hat, _ = plain_projection(u, rng.standard_normal(8))
+        again, residual = plain_projection(u, u @ a_hat)
         np.testing.assert_allclose(again, a_hat, atol=1e-13)
         np.testing.assert_allclose(residual, 0.0, atol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            simple_projection(np.eye(4)[:, :2], np.zeros(5))
+            plain_projection(np.eye(4)[:, :2], np.zeros(5))
 
 
 class TestRobustProjection:
@@ -249,8 +256,8 @@ class TestRobustProjection:
         np.testing.assert_array_equal(result.a_hat, _kept_row_solve(u, x, kept))
 
     def test_evidence_survives_a_reused_window_buffer(self):
-        # The detector passes a view of its history buffer, which the next
-        # step overwrites; the lazily computed evidence must not follow it.
+        # A caller may pass a view of a buffer that it overwrites next; the
+        # evidence, computed before the call returns, must not follow it.
         u = dct_frame(30, (0, 1, 2))
         rng = np.random.default_rng(9)
         x = u @ rng.standard_normal(3) + 0.05 * rng.standard_normal(30)
@@ -261,6 +268,36 @@ class TestRobustProjection:
         x[:] = rng.standard_normal(30) * 1e3
         np.testing.assert_array_equal(result.kept_rows, expected_kept)
         np.testing.assert_array_equal(result.residual, expected_residual)
+
+    @pytest.mark.parametrize("floor", [DOWNDATE_FLOOR, np.inf], ids=["downdate", "qr"])
+    def test_a_hat_is_the_cores_bit_for_bit(self, monkeypatch, floor):
+        # The checked public call and the detector's unchecked core solve the
+        # same way; an infinite floor sends every n_s >= 1 window to the QR.
+        monkeypatch.setattr(projection, "DOWNDATE_FLOOR", floor)
+        rng = np.random.default_rng(12)
+        for m1, rank in ((10, 2), (30, 10), (60, 4)):
+            u, _ = np.linalg.qr(rng.standard_normal((m1, rank)))
+            for n_s in range(6):
+                x = u @ rng.standard_normal(rank) + 0.05 * rng.standard_normal(m1)
+                rows = rng.choice(m1, n_s, replace=False)
+                x[rows] += rng.choice([-1.0, 1.0], n_s) * 10.0 ** rng.uniform(0, 12, n_s)
+                np.testing.assert_array_equal(
+                    robust_projection(u, x, n_s).a_hat,
+                    projection.robust_coefficients(u, x, n_s),
+                )
+
+    def test_result_is_an_immutable_tuple(self):
+        u = dct_frame(10, (1, 4))
+        x = np.arange(10.0)
+        result = robust_projection(u, x, 2)
+        a_hat, kept_rows, residual, prelim_residual = result
+        assert a_hat is result.a_hat and kept_rows is result.kept_rows
+        assert residual is result.residual and prelim_residual is result.prelim_residual
+        assert RobustProjectionResult._fields == (
+            "a_hat", "kept_rows", "residual", "prelim_residual")
+        with pytest.raises(AttributeError):
+            result.a_hat = np.zeros(2)
+
 
 class TestL1Oracle:
     def test_zero_objective(self):

@@ -25,10 +25,12 @@ CLI_LINES = [
 
 
 def test_report_is_deterministic_and_counts_the_solves():
-    # 300 stream-long steps of seed 0 and no tables: one stream line, the
-    # same on a second run; the 271 replayed training windows and every step
-    # project through the downdate, never the QR solve. Then one line per CLI
-    # command on the seed's cli-workflow inputs.
+    # 300 stream-long steps of seed 0 and no tables: first the projection
+    # line, whose fixed windows reach both the raise and the QR solve; then
+    # one stream line, the same on a second run, where the 271 replayed
+    # training windows and every step project through the downdate, never the
+    # QR solve. Then one line per CLI command on the seed's cli-workflow
+    # inputs.
     cmd = [sys.executable, str(ROOT / "tools" / "score_report.py"), str(ROOT),
            "--seeds", "0", "--steps", "300", "--tables"]
     first = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
@@ -39,7 +41,14 @@ def test_report_is_deterministic_and_counts_the_solves():
         + "".join(rf" {re.escape(f)} {SHA}" for f in files) + r"\n"
         for name, code, files in CLI_LINES
     )
+    projection_line = (
+        r"projection: calls 5560 raised [1-9]\d* qr_solves [1-9]\d*"
+        + "".join(rf" {name} {SHA}" for name in
+                  ("a_hat", "kept_rows", "residual", "prelim_residual", "raises"))
+        + r"\n"
+    )
     assert re.fullmatch(
+        projection_line +
         r"stream-long seed 0: sha256 [0-9a-f]{64} max_abs_residual \d\S* "
         r"runtime_warnings 0 projections 571 qr_solves 0 failed 0 at \[\]\n"
         + cli_lines,

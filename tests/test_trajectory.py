@@ -41,6 +41,15 @@ class TestTimeSeries:
 
 
 class TestBuildTrajectory:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_with_non_finite_value_is_typed(self, bad):
+        # A plain array gets the TimeSeries check, naming the first bad index.
+        values = np.arange(10.0)
+        values[[4, 7]] = bad
+        with pytest.raises(NonFiniteValue) as exc:
+            build_trajectory(values, 3)
+        assert exc.value.index == 4
+
     def test_small_example(self):
         tm = build_trajectory(TimeSeries(values=np.array([1.0, 2, 3, 4])), 2)
         assert tm.shape == (2, 3)

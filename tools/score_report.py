@@ -25,6 +25,15 @@ the SHA-256 of its per-run PR curve CSVs (`--emit-curves`), each file's name
 and bytes in sorted name order, so a bit changed in any run's scores shows
 even where the mean F1 hides it. Every float is printed with repr, so any
 change of a bit shows in the diff.
+
+The first line checks the public `rpe.projection.robust_projection` on its
+own. It calls it on fixed seeded windows: M1 of 5, 10, 30 and 60, ranks 1, 3
+and 10 (capped at M1 - 1), every feasible n_s, some coherent bases, spikes up
+to 1e300 (up to n_s + 2 of them), and a NaN or infinity in about 2 % of the
+windows; every fourth call runs with `DOWNDATE_FLOOR` at infinity, which
+sends each n_s >= 1 window to the QR solve. It prints the calls, the raises
+and the QR solves, the SHA-256 of each result field, read by name, and the
+SHA-256 of every raise's type, message and row.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +74,9 @@ CLI_COMMANDS = {
     "error_no_model": _DETECT + ["--output", "no_model.csv"],
     "error_no_train": _DETECT + ["--method", "ar", "--output", "no_train.csv"],
 }
+PROJECTION_M1 = (5, 10, 30, 60)
+PROJECTION_REPEATS = 20  # windows per (M1, rank, n_s)
+PROJECTION_FIELDS = ("a_hat", "kept_rows", "residual", "prelim_residual")
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -119,6 +132,8 @@ def report(args) -> int:
     detector.robust_projection = counted_projection
     projection._kept_row_solve = counted_kept_row_solve
 
+    projection_report(np, projection, counts)
+
     for seed in args.seeds:
         counts.clear()
         values, _ = inputs.make_series(seed, TRAIN_LEN + args.steps, TRAIN_LEN, ANOMALY_SHARE)
@@ -156,6 +171,62 @@ def report(args) -> int:
         print(f"bench {table}: " + " ".join(f"{m}={s['mean_f1']!r}" for m, s in methods.items())
               + f" qr_solves {counts['qr_solves']} curves_sha256 {curve_digest.hexdigest()}")
     return 0
+
+
+def projection_report(np, projection, counts) -> None:
+    """Call robust_projection on the fixed windows of the module docstring and
+    print one digest line."""
+    digests = {name: hashlib.sha256() for name in PROJECTION_FIELDS + ("raises",)}
+    rng = np.random.default_rng(2026)
+    floor = projection.DOWNDATE_FLOOR
+    counts.clear()
+    raised = 0
+    try:
+        with np.errstate(all="ignore"):
+            for call, (m1, rank, n_s) in enumerate(projection_cases()):
+                u, x = projection_window(np, rng, m1, rank, n_s)
+                projection.DOWNDATE_FLOOR = math.inf if call % 4 == 3 else floor
+                try:
+                    result = projection.robust_projection(u, x, n_s)
+                except Exception as exc:  # a raise is reported, not fatal
+                    raised += 1
+                    digests["raises"].update(f"{call + 1} {type(exc).__name__} {exc}"
+                                             f" {getattr(exc, 'index', None)}\n".encode())
+                    continue
+                for name in PROJECTION_FIELDS:
+                    value = np.asarray(getattr(result, name))
+                    digests[name].update(f"{value.dtype.str} {value.shape}\n".encode()
+                                         + value.tobytes())
+    finally:
+        projection.DOWNDATE_FLOOR = floor
+    print(f"projection: calls {call + 1} raised {raised} qr_solves {counts['qr_solves']}"
+          + "".join(f" {name} {digest.hexdigest()}" for name, digest in digests.items()))
+
+
+def projection_cases():
+    """(M1, rank, n_s) of every call: ranks 1, 3 and 10 capped at M1 - 1, every
+    feasible n_s, PROJECTION_REPEATS windows each."""
+    for m1 in PROJECTION_M1:
+        for rank in sorted({1, min(3, m1 - 1), min(10, m1 - 1)}):
+            for n_s in range(m1 - rank + 1):
+                yield from [(m1, rank, n_s)] * PROJECTION_REPEATS
+
+
+def projection_window(np, rng, m1: int, rank: int, n_s: int):
+    """A seeded orthonormal basis (coherent one time in four) and a window in
+    its span with noise, spikes and now and then a NaN or infinity."""
+    raw = rng.standard_normal((m1, rank))
+    if rng.random() < 0.25:
+        rows = rng.choice(m1, rng.integers(1, 4), replace=False)
+        raw[rows] *= rng.uniform(2.0, 20.0, rows.size)[:, None]
+    u, _ = np.linalg.qr(raw)
+    x = u @ rng.standard_normal(rank) + 0.05 * rng.standard_normal(m1)
+    k = rng.integers(0, min(n_s + 2, m1) + 1)
+    rows = rng.choice(m1, k, replace=False)
+    x[rows] += rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(0.0, 300.0, k)
+    if rng.random() < 0.02:
+        x[rng.integers(m1)] = rng.choice([np.nan, np.inf, -np.inf])
+    return u, x
 
 
 def cli_report(seed: int, steps: int, cli, inputs) -> None:
