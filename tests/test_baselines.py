@@ -237,14 +237,3 @@ class TestNonFiniteInput:
         assert info.value.index == 40
         with pytest.raises(NotTrained):
             det.step(1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_warm_start_rejects_a_non_finite_value(self, bad, clean):
-        model = train(clean.values[:150]).model
-        values = clean.values[150:200].copy()
-        values[40] = bad
-        det = RpeDetector()
-        with pytest.raises(NonFiniteValue) as info:
-            det.warm_start(model, values)
-        assert info.value.index == 40
-        assert det.state is None
