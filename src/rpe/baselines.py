@@ -34,22 +34,16 @@ from .trajectory import series_values
 IID_BUFFER_LEN = 100
 AR_WINDOW = 30
 AR_RETRAIN_EVERY = 100
-AR_RIDGE = 1e-8
 
 
 def _fit_ar_weights(values: np.ndarray, window: int) -> np.ndarray:
     """Least-squares one-step predictor with no intercept.
 
-    A rank-deficient design falls back to ridge with a small damping term
-    rather than failing.
+    A rank-deficient design (a constant, a ramp, a pure sine) gets the
+    minimum-norm weights that lstsq returns, rather than failing.
     """
     rows = np.lib.stride_tricks.sliding_window_view(values[:-1], window)
-    targets = values[window:]
-    weights, _, rank, _ = np.linalg.lstsq(rows, targets, rcond=None)
-    if rank < window:
-        gram = rows.T @ rows + AR_RIDGE * np.eye(window)
-        return np.linalg.solve(gram, rows.T @ targets)
-    return weights
+    return np.linalg.lstsq(rows, values[window:], rcond=None)[0]
 
 
 class RpeDetector:

@@ -17,9 +17,8 @@ then gets one score record:
    is replaced by its reconstruction so one anomaly cannot contaminate the
    windows of its successors;
 5. every retrain_every steps the model is re-fitted to the kept history,
-   until the history's logical length (the values kept at training plus
-   those added since, cut back to t_max by each re-fit) reaches a stop
-   length, after which the basis is considered stable.
+   while the history buffer holds fewer than t_max values; once it is full
+   the basis is considered stable.
 
 The history is a float64 buffer holding the last t_max stored values, so the
 newest window is a slice of it and the history does not grow with the stream.
@@ -29,12 +28,12 @@ are meaningful immediately after training and invariant to the residual
 scale.
 
 A step does no work whose result it drops. The model is checked against the
-config once, when a state gets it (a refit keeps rank + n_s <= M1 through
-rank_cap), so each step projects with projection.robust_coefficients, which
-checks nothing and returns only the coefficients. This module calls it by
-the name robust_projection, the name of the projection layer that
-bench/tracing.py times under detector.step. The score comes back as a
-ScoreRecord, an immutable NamedTuple.
+config once, when a state gets it (the config is frozen, and a refit keeps
+rank + n_s <= M1 through rank_cap), so each step projects with
+projection.robust_coefficients, which checks nothing and returns only the
+coefficients. This module calls it by the name robust_projection, the name
+of the projection layer that bench/tracing.py times under detector.step. The
+score comes back as a ScoreRecord, an immutable NamedTuple.
 """
 
 from __future__ import annotations
@@ -54,16 +53,14 @@ from .subspace import DEFAULT_RANK_CAP, ESTIMATORS, SubspaceModel
 from .trajectory import build_trajectory, series_values
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
-    """Knobs for training and streaming.
+    """Knobs for training and streaming, frozen once validated.
 
-    t_max is the number of stored values the history buffer keeps. The
-    refit rule reads the history's logical length instead: the values kept at
-    training plus every value added since, cut back to at most t_max by each
-    refit. retrain_stop_len defaults to 10 * M1; once the logical length
-    reaches it, periodic re-fitting stops. memory_cap bounds the residual
-    memory with oldest-first eviction; None keeps everything.
+    t_max is the number of stored values the history buffer keeps; a step
+    refits every retrain_every steps while the buffer holds fewer than t_max
+    values. memory_cap bounds the residual memory with oldest-first
+    eviction; None keeps everything.
     """
 
     M1: int = 30
@@ -71,17 +68,15 @@ class DetectorConfig:
     cdf_threshold: float = 0.95
     retrain_every: int = 100
     t_max: int = 300
-    retrain_stop_len: int | None = None
     estimator: str = "simple"
     replace_anomalous_values: bool = True
     memory_cap: int | None = None
 
     def __post_init__(self):
-        for name in ("M1", "n_s", "retrain_every", "t_max", "retrain_stop_len", "memory_cap"):
+        for name in ("M1", "n_s", "retrain_every", "t_max", "memory_cap"):
             value = getattr(self, name)
-            optional = name in ("retrain_stop_len", "memory_cap")
             integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not (integer or (optional and value is None)):
+            if not (integer or (name == "memory_cap" and value is None)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.replace_anomalous_values, bool):
             raise ValueError(
@@ -97,8 +92,6 @@ class DetectorConfig:
             raise ValueError("retrain_every must be positive")
         if self.t_max < 2 * self.M1:
             raise ValueError("t_max must allow at least two windows of history")
-        if self.retrain_stop_len is None:
-            self.retrain_stop_len = 10 * self.M1
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.memory_cap is not None and self.memory_cap < 1:
@@ -202,8 +195,6 @@ class DetectorState:
         self._buffer = np.empty(config.t_max + HISTORY_SLACK)
         self._buffer[:kept.size] = kept
         self._start, self._end = 0, kept.size
-        # The logical length the refit rule reads (see DetectorConfig).
-        self._logical_len = len(history)
 
     @property
     def history(self) -> np.ndarray:
@@ -224,7 +215,6 @@ class DetectorState:
         buffer, end = self._buffer, self._end
         buffer[end] = value
         end += 1
-        self._logical_len += 1
         if end - self._start > self.config.t_max:
             self._start += 1
         if end == buffer.size:
@@ -235,9 +225,9 @@ class DetectorState:
 
 
 def fit_model(values: np.ndarray, config: DetectorConfig) -> SubspaceModel:
-    """Fit the subspace model the config names: its estimator, M1 and rank cap."""
+    """Fit the config's estimator, M1 and rank cap to the last t_max values."""
     estimator = ESTIMATORS[config.estimator]
-    return estimator(values, config.M1, rank_cap=config.rank_cap)
+    return estimator(values[-config.t_max:], config.M1, rank_cap=config.rank_cap)
 
 
 def _seeded_state(model: SubspaceModel, values: np.ndarray,
@@ -274,7 +264,7 @@ def train(t_train, config: DetectorConfig | None = None) -> DetectorState:
         raise SeriesTooShort(
             f"training needs at least {2 * config.M1} samples, got {values.size}"
         )
-    return _seeded_state(fit_model(values[-config.t_max:], config), values, config)
+    return _seeded_state(fit_model(values, config), values, config)
 
 
 def warm_start(model: SubspaceModel, t_train,
@@ -327,8 +317,7 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
         replaced_value = reconstruction
     state._push(value if replaced_value is None else replaced_value)
 
-    if state.counter % config.retrain_every == 0 and state._logical_len < config.retrain_stop_len:
-        state._logical_len = min(state._logical_len, config.t_max)
+    if state.counter % config.retrain_every == 0 and state._end - state._start < config.t_max:
         state.model = fit_model(state.history, config)
 
     return ScoreRecord(index, residual, magnitude, cdf_score, flagged, replaced_value)

@@ -13,10 +13,11 @@ conditioned, which is rare, goes to a plain QR of the survivors
 
 The solve has one implementation: rank the rows once, then
 ``_exclude_and_solve``. ``robust_projection`` is the public entry point: it
-checks the basis, the window and the budget, and returns the coefficients
-with the evidence behind them. ``robust_coefficients`` is the streaming
-detector's core: it runs the same ranking and solve on a window that is
-already checked, and returns only the coefficients.
+checks the shapes, the budget and that every window value and basis entry is
+finite, and returns the coefficients with the evidence behind them.
+``robust_coefficients`` is the streaming detector's core: it runs the same
+ranking and solve on a window that is already checked, and returns only the
+coefficients.
 """
 
 from __future__ import annotations
@@ -57,7 +58,10 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
 
     Rows are ranked by the preliminary residual |x - U U^T x|; ties resolve
     by ascending value then ascending index, so results are deterministic.
-    With n_s = 0 every row is kept, and a_hat is U^T x.
+    With n_s = 0 every row is kept, and a_hat is U^T x. A NaN or infinity in
+    the window or the basis raises NonFiniteValue for its first row, before
+    any work: it would make every preliminary residual NaN, so no ranking
+    could tell which rows to exclude.
     """
     U = np.asarray(U, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -70,6 +74,9 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
     m, r = U.shape
     if n_s < 0 or n_s + r > m:
         raise BadBudget(f"n_s={n_s} with rank {r} and {m} rows")
+    bad = ~(np.isfinite(x) & np.isfinite(U).all(axis=1))
+    if bad.any():
+        raise NonFiniteValue(int(bad.argmax()), "non-finite window value or basis row")
     a0 = U.T @ x
     prelim, order = _rank_rows(U, x, a0)
     a_hat = a0 if n_s == 0 else _exclude_and_solve(U, x, order, n_s)
@@ -152,8 +159,9 @@ def _identity(n: int) -> np.ndarray:
 def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Least squares on the kept rows: QR of U[kept], then R a = Q^T x[kept].
 
-    The fallback of robust_coefficients for windows the downdate declines, and
-    the only place that raises RankDeficient or NonFiniteValue for a window.
+    The fallback for windows the downdate declines, and the only place where
+    robust_coefficients raises: RankDeficient, or NonFiniteValue for a window
+    that overflows (or, in a step, holds an overflowed stored value).
     A NaN on R's diagonal is not rank deficiency (numpy's min propagates it,
     and nan <= tol is false); it fails the finiteness test instead, which is
     the condition of solve_triangular's check_finite.

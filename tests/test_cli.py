@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rpe import cli
+from rpe.coherence import mu_squared
 from rpe.subspace import load_model
 from rpe.synth import SynthSpec, generate_clean
 from rpe.trajectory import TimeSeries, read_csv, write_csv
@@ -228,6 +229,21 @@ class TestCoherence:
         assert payload["kappa_estimate"] == pytest.approx(
             np.sqrt(payload["mu_squared"]) * payload["gamma_estimate"]
         )
+
+    def test_reports_the_basis_train_saves(self, tmp_path, capsys):
+        # For a CSV longer than t_max, train fits the last t_max values;
+        # coherence must describe that basis, not one of the whole file.
+        path = tmp_path / "long.csv"
+        write_csv(path, generate_clean(SynthSpec(length=1000, seed=5)))
+        cfg = write_json(tmp_path / "cfg.json", {"estimator": "columnwise"})
+        model = tmp_path / "model.json"
+        assert cli.main(["train", "--input", str(path), "--config", cfg,
+                         "--output", str(model)]) == 0
+        capsys.readouterr()
+        assert cli.main(["coherence", "--input", str(path), "--config", cfg,
+                         "--n-starts", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mu_squared"] == mu_squared(load_model(model).U)
 
 
 class TestBench:

@@ -1,6 +1,8 @@
 """Streaming detector tests: configuration, training, the residual memory,
 single-step scoring, value replacement, and series scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.fft import dct
@@ -50,7 +52,6 @@ class TestDetectorConfig:
         assert cfg.cdf_threshold == 0.95
         assert cfg.retrain_every == 100
         assert cfg.t_max == 300
-        assert cfg.retrain_stop_len == 300  # 10 * M1
         assert cfg.replace_anomalous_values is True
 
     def test_rank_cap_tracks_budget(self):
@@ -78,7 +79,7 @@ class TestDetectorConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("M1", 30.5), ("n_s", 2.0), ("retrain_every", 2.5), ("t_max", 300.5),
-        ("retrain_stop_len", 300.5), ("memory_cap", 2.5), ("M1", "30"),
+        ("memory_cap", 2.5), ("M1", "30"),
     ])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -86,11 +87,11 @@ class TestDetectorConfig:
 
     def test_numpy_integers_are_counts(self):
         cfg = DetectorConfig(M1=np.int64(20), n_s=np.int32(3), t_max=np.int64(60),
-                             retrain_stop_len=np.int64(200), memory_cap=np.int16(50))
+                             memory_cap=np.int16(50))
         assert cfg.rank_cap == 10
 
     @pytest.mark.parametrize(
-        "field", ["M1", "n_s", "retrain_every", "t_max", "retrain_stop_len", "memory_cap"]
+        "field", ["M1", "n_s", "retrain_every", "t_max", "memory_cap"]
     )
     def test_a_bool_is_not_a_count(self, field):
         # bool is an Integral, so memory_cap=True would read as a cap of 1.
@@ -102,6 +103,15 @@ class TestDetectorConfig:
         # "false" is truthy, so it would switch replacement on.
         with pytest.raises(ValueError, match="replace_anomalous_values"):
             DetectorConfig(replace_anomalous_values=value)
+
+    def test_fields_are_frozen(self):
+        # A state checks its model against the config once, so a field set
+        # afterwards (n_s = 25 on a rank-10 model) would fail deep in a step.
+        cfg = DetectorConfig()
+        for field in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field.name, getattr(cfg, field.name))
+        assert dataclasses.replace(cfg, n_s=0).n_s == 0
 
 
 class TestResidualMemory:
@@ -258,27 +268,26 @@ class TestStep:
 
     def test_retrain_stops_once_history_is_long(self):
         clean = generate_clean(SynthSpec(length=600, seed=1))
-        st = train(series(clean.values[:300]))  # history already at stop length
+        st = train(series(clean.values[:300]))  # the buffer is already full
         model_before = st.model
         for v in clean.values[300:400]:
             step(st, float(v))
         assert st.model is model_before
 
-    def test_refit_stop_rule_counts_values_since_training(self):
-        # The stop rule reads the history's logical length (the values kept
-        # at training plus those added since, cut back to t_max at each
-        # refit), not the size of the bounded history buffer.
+    def test_refits_until_the_history_buffer_is_full(self):
+        # Every retrain_every steps a step refits while the history buffer
+        # holds fewer than t_max values, and never once it is full.
         clean = generate_clean(SynthSpec(length=2600, seed=1))
         cfg = DetectorConfig()
-        # A default train on t_max samples starts at the stop length: no
-        # step ever refits, while the buffer stays at t_max values.
+        # A default train on t_max samples fills the buffer: no step ever
+        # refits, and the buffer stays at t_max values.
         st = train(series(clean.values[:300]), config=cfg)
         model = st.model
         for v in clean.values[300:2300]:
             step(st, float(v))
             assert st.model is model
             assert len(st.history) <= cfg.t_max
-        # A warm start on M1 samples (the CLI cold start) starts at M1 = 30:
+        # A warm start on M1 samples (the CLI cold start) keeps 30 values:
         # refits at steps 100 and 200 (130 and 230 < 300), none from 300 on.
         st = warm_start(model, series(clean.values[:cfg.M1]), config=cfg)
         models = [st.model]
@@ -289,22 +298,28 @@ class TestStep:
                 assert st.counter in (100, 200)
         assert len(models) == 3
         assert models[0] is model
-        # With t_max below the stop length the buffer stays short, but the
-        # logical length still reaches it: 200 + 100 values, no refit.
+        # A training of t_max = 200 values fills the buffer: no refit.
         st = train(series(clean.values[:200]), config=DetectorConfig(t_max=200))
         model = st.model
         for v in clean.values[200:500]:
             step(st, float(v))
         assert st.model is model
-        # Each refit cuts the logical length back to t_max, so with
-        # t_max + retrain_every below the stop length every 100th step refits.
+        # The same with t_max = 100, trained on 100 values.
         st = train(series(clean.values[:100]), config=DetectorConfig(t_max=100))
-        refits = 0
+        model = st.model
         for v in clean.values[100:1100]:
+            step(st, float(v))
+        assert st.model is model
+        # t_max = 600 trained on 300: refits at steps 100 and 200 (400 and
+        # 500 values kept), none from 300 on, when the buffer is full.
+        st = train(series(clean.values[:300]), config=DetectorConfig(t_max=600))
+        refit_at = []
+        for v in clean.values[300:1300]:
             model = st.model
             step(st, float(v))
-            refits += st.model is not model
-        assert refits == 10
+            if st.model is not model:
+                refit_at.append(st.counter)
+        assert refit_at == [100, 200]
 
 
 def snapshot(st: DetectorState) -> tuple:
@@ -342,7 +357,7 @@ class TestProjectionCore:
         clean = generate_clean(SynthSpec(length=700, seed=3))
         spec = AnomalySpec(fraction=0.02, seed=3, protect_prefix=300)
         values = inject_anomalies(clean, spec).values
-        cfg = DetectorConfig(n_s=n_s, retrain_every=50, retrain_stop_len=10**6)
+        cfg = DetectorConfig(n_s=n_s, retrain_every=50, t_max=700)
         st = train(series(values[:300]), config=cfg)
         for value in values[300:].tolist():
             U = st.model.U

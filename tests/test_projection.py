@@ -160,19 +160,25 @@ class TestRobustProjection:
         with pytest.raises(RankDeficient):
             robust_projection(u, x, 2)
 
-    @pytest.mark.parametrize("where", ["window", "basis"])
-    def test_non_finite_kept_row_is_typed(self, where):
-        # One non-finite entry makes every preliminary residual NaN, so the
-        # stable sort keeps the lowest-index rows; row 0 is kept and blamed.
+    @pytest.mark.parametrize("where, row, n_s", [
+        pytest.param(where, row, n_s,
+                     id=where + ("-last" if row else "") + ("" if n_s else "-n_s0"))
+        for n_s in (2, 0) for row in (0, 9) for where in ("window", "basis")
+    ])
+    def test_non_finite_kept_row_is_typed(self, where, row, n_s):
+        # One non-finite entry would make every preliminary residual NaN, so
+        # no ranking could exclude it: with row 9 (the newest stamp) the
+        # stable sort would drop the last rows unranked and return a finite
+        # answer. It is rejected for its row before any work, for every n_s.
         u = dct_frame(10, (1, 3))
         x = u @ np.array([1.0, -0.5])
         if where == "window":
-            x[0] = np.inf
+            x[row] = np.inf
         else:
-            u[0, 1] = np.nan
-        with pytest.raises(NonFiniteValue) as info, np.errstate(invalid="ignore"):
-            robust_projection(u, x, 2)
-        assert info.value.index == 0
+            u[row, 1] = np.nan
+        with pytest.raises(NonFiniteValue) as info:
+            robust_projection(u, x, n_s)
+        assert info.value.index == row
 
     def test_overflowing_finite_window_blames_largest_kept_value(self):
         # Every value is finite but near the float limit, so the solve

@@ -29,8 +29,10 @@ def test_report_is_deterministic_and_counts_the_solves():
     # line, whose fixed windows reach both the raise and the QR solve; then
     # one stream line, the same on a second run, where the 271 replayed
     # training windows and every step project through the downdate, never the
-    # QR solve. Then one line per CLI command on the seed's cli-workflow
-    # inputs.
+    # QR solve. Then the seed's stream-fleet line: 8 series of 150 training
+    # stamps (121 replayed windows each) and 300 steps, each series refitting
+    # once, at step 100. Then one line per CLI command on the seed's
+    # cli-workflow inputs.
     cmd = [sys.executable, str(ROOT / "tools" / "score_report.py"), str(ROOT),
            "--seeds", "0", "--steps", "300", "--tables"]
     first = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
@@ -51,6 +53,8 @@ def test_report_is_deterministic_and_counts_the_solves():
         projection_line +
         r"stream-long seed 0: sha256 [0-9a-f]{64} max_abs_residual \d\S* "
         r"runtime_warnings 0 projections 571 qr_solves 0 failed 0 at \[\]\n"
+        r"stream-fleet seed 0: sha256 [0-9a-f]{64} refits 8 runtime_warnings \d+ "
+        r"projections 3368 qr_solves \d+ failed 0 at \[\]\n"
         + cli_lines,
         first,
     )

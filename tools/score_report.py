@@ -12,11 +12,18 @@ type, scores -inf, and the detector is retrained on the last 300 raw stamps,
 as the benchmark does. Per seed it prints the SHA-256 of `abs_residual` (with
 -inf at failed steps), its largest finite value, the RuntimeWarnings raised,
 the robust projections made and how many of them went to the QR solve of the
-kept rows, and the failed steps. Then it runs the README's CLI workflow on
-the seed's `cli-workflow` inputs (2 000 training stamps, then
-min(`--steps`, 20 000) scored stamps, the config of CLI_CONFIG): train,
-coherence, detect warm and cold, spe, rpe with n_s = 0, ar and iid, and the
-two usage errors of detect. Each command prints one line: its exit code and
+kept rows, and the failed steps. Then it streams the benchmark's
+`stream-fleet` series of the seed: series S + i for i in 0-7, each trained on
+150 clean stamps with the estimator simple, elementwise or columnwise (i mod
+3), then min(`--steps`, 5 000) stamps, each series on its own, with the same
+restart on a failed step. It prints the SHA-256 of the 8 `abs_residual`
+vectors, the refits (steps after which the state holds a new model), the
+RuntimeWarnings, the projections, the QR solves and the failed steps, as
+`series.step`. Unlike the `stream-long` series, these refit, at step 100.
+Then it runs the README's CLI workflow on the seed's `cli-workflow` inputs
+(2 000 training stamps, then min(`--steps`, 20 000) scored stamps, the config
+of CLI_CONFIG): train, coherence, detect warm and cold, spe, rpe with
+n_s = 0, ar and iid, and the two usage errors of detect. Each command prints one line: its exit code and
 the SHA-256 of its stdout, its stderr and every file it writes (commands run
 in a scratch directory with relative paths, so the bytes do not depend on
 where it lies). Then, for every table named by `--tables`, it
@@ -54,6 +61,10 @@ from pathlib import Path
 
 TRAIN_LEN = 300  # stream-long's training stamps, also the restart window
 ANOMALY_SHARE = 0.01
+FLEET_SERIES = 8  # stream-fleet's series, seeds S to S + 7
+FLEET_TRAIN_LEN = 150  # stream-fleet's training stamps
+FLEET_MAX_STEPS = 5_000  # stream-fleet's scored stamps
+FLEET_ESTIMATORS = ("simple", "elementwise", "columnwise")  # series i gets i mod 3
 CLI_TRAIN_LEN = 2_000  # cli-workflow's training stamps
 CLI_MAX_STEPS = 20_000  # cli-workflow's scored stamps
 CLI_CONFIG = {"estimator": "columnwise", "memory_cap": 200}
@@ -137,24 +148,16 @@ def report(args) -> int:
     for seed in args.seeds:
         counts.clear()
         values, _ = inputs.make_series(seed, TRAIN_LEN + args.steps, TRAIN_LEN, ANOMALY_SHARE)
-        train, stream = values[:TRAIN_LEN], values[TRAIN_LEN:]
-        abs_residual = np.full(args.steps, -np.inf)
-        failures = []
         with counted_runtime_warnings() as caught:
-            state = detector.train(train)
-            for i, value in enumerate(stream.tolist()):
-                try:
-                    abs_residual[i] = detector.step(state, value).abs_residual
-                except Exception as exc:  # a failed step is reported, not fatal
-                    failures.append(f"{i}:{type(exc).__name__}")
-                    recent = np.concatenate([train, stream[: i + 1]])[-TRAIN_LEN:]
-                    state = detector.train(recent)
+            abs_residual, failures, _ = stream_series(
+                np, detector, values[:TRAIN_LEN], values[TRAIN_LEN:], detector.DetectorConfig())
         finite = abs_residual[np.isfinite(abs_residual)]
         print(f"stream-long seed {seed}: sha256 {inputs.digest(abs_residual)}"
               f" max_abs_residual {float(finite.max()) if finite.size else None!r}"
               f" runtime_warnings {sum(caught.values())}"
               f" projections {counts['projections']} qr_solves {counts['qr_solves']}"
               f" failed {len(failures)} at [{' '.join(failures)}]")
+        fleet_report(seed, min(args.steps, FLEET_MAX_STEPS), np, detector, inputs, counts)
         cli_report(seed, min(args.steps, CLI_MAX_STEPS), rpe.cli, inputs)
 
     for table in args.tables:
@@ -171,6 +174,51 @@ def report(args) -> int:
         print(f"bench {table}: " + " ".join(f"{m}={s['mean_f1']!r}" for m, s in methods.items())
               + f" qr_solves {counts['qr_solves']} curves_sha256 {curve_digest.hexdigest()}")
     return 0
+
+
+def stream_series(np, detector, train, stream, config):
+    """Train on train, then step through stream as the benchmark does.
+
+    Returns abs_residual (-inf at a failed step), the failed steps as
+    "step:exception type", and the refits: the steps after which the state
+    holds a new model. A failed step retrains on the last TRAIN_LEN raw
+    stamps.
+    """
+    abs_residual = np.full(stream.size, -np.inf)
+    failures, refits = [], 0
+    state = detector.train(train, config)
+    for i, value in enumerate(stream.tolist()):
+        model = state.model
+        try:
+            abs_residual[i] = detector.step(state, value).abs_residual
+        except Exception as exc:  # a failed step is reported, not fatal
+            failures.append(f"{i}:{type(exc).__name__}")
+            recent = np.concatenate([train, stream[: i + 1]])[-TRAIN_LEN:]
+            state = detector.train(recent, config)
+            continue
+        refits += state.model is not model
+    return abs_residual, failures, refits
+
+
+def fleet_report(seed: int, steps: int, np, detector, inputs, counts) -> None:
+    """Stream the seed's stream-fleet series one after another and print one
+    digest line."""
+    counts.clear()
+    residuals, failures, refits = [], [], 0
+    with counted_runtime_warnings() as caught:
+        for i in range(FLEET_SERIES):
+            values, _ = inputs.make_series(seed + i, FLEET_TRAIN_LEN + steps, FLEET_TRAIN_LEN,
+                                           ANOMALY_SHARE)
+            config = detector.DetectorConfig(estimator=FLEET_ESTIMATORS[i % len(FLEET_ESTIMATORS)])
+            abs_residual, failed, refitted = stream_series(
+                np, detector, values[:FLEET_TRAIN_LEN], values[FLEET_TRAIN_LEN:], config)
+            residuals.append(abs_residual)
+            failures += [f"{i}.{step}" for step in failed]
+            refits += refitted
+    print(f"stream-fleet seed {seed}: sha256 {inputs.digest(*residuals)} refits {refits}"
+          f" runtime_warnings {sum(caught.values())}"
+          f" projections {counts['projections']} qr_solves {counts['qr_solves']}"
+          f" failed {len(failures)} at [{' '.join(failures)}]")
 
 
 def projection_report(np, projection, counts) -> None:
