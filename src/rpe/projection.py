@@ -9,7 +9,7 @@ projection U^T x. Because U is orthonormal, the survivors' normal matrix is
 I - B^T B for the dropped rows B, so the solve is an n_s x n_s downdate
 (Woodbury); a window whose dropped rows leave the survivors badly
 conditioned, which is rare, goes to a plain QR of the survivors
-(np.linalg.qr, then solve_triangular).
+(np.linalg.qr, then LAPACK dtrtrs).
 
 The solve has one implementation: rank the rows once, then
 ``_exclude_and_solve``. ``robust_projection`` is the public entry point: it
@@ -18,18 +18,28 @@ finite, and returns the coefficients with the evidence behind them.
 ``robust_coefficients`` is the streaming detector's core: it runs the same
 ranking and solve on a window that is already checked, and returns only the
 coefficients.
+
+The BLAS and LAPACK kernels (dgemv, dsyrk, dposv, dtrtrs) are scipy's own
+f2py objects from scipy.linalg._fblas and _flapack, loaded from scipy's
+install directory without the package init of scipy and scipy.linalg: that
+init took two thirds of ``import rpe`` and loads nothing rpe calls. The two
+modules are registered in sys.modules under their own names, or reused from
+there, so rpe and ``import scipy.linalg`` share the same kernels in either
+order.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from types import ModuleType
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemv, dsyrk
-from scipy.linalg.lapack import dposv
 
 from .errors import BadBudget, DimensionMismatch, NonFiniteValue, RankDeficient
 
@@ -37,6 +47,34 @@ RANK_TOL = 1e-10
 # Smallest det(I - B B^T) at which the downdate solve is trusted; below it
 # the window goes to the QR solve (see _downdate_solve).
 DOWNDATE_FLOOR = 1e-3
+
+
+def _linalg_extension(name: str) -> ModuleType:
+    """scipy.linalg's compiled module ``name``, without scipy's package init:
+    the one in sys.modules if scipy.linalg has loaded it, else loaded from
+    scipy's install directory and registered there. ImportError if absent."""
+    fullname = "scipy.linalg." + name
+    module = sys.modules.get(fullname)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")  # finds, runs no __init__
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(fullname)
+    if spec is None:
+        raise ImportError(f"no compiled {fullname} in the installed scipy", name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
+
+
+_fblas = _linalg_extension("_fblas")
+_flapack = _linalg_extension("_flapack")
+dgemv, dsyrk = _fblas.dgemv, _fblas.dsyrk
+dposv, dtrtrs = _flapack.dposv, _flapack.dtrtrs
 
 
 class RobustProjectionResult(NamedTuple):
@@ -163,8 +201,11 @@ def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarra
     robust_coefficients raises: RankDeficient, or NonFiniteValue for a window
     that overflows (or, in a step, holds an overflowed stored value).
     A NaN on R's diagonal is not rank deficiency (numpy's min propagates it,
-    and nan <= tol is false); it fails the finiteness test instead, which is
-    the condition of solve_triangular's check_finite.
+    and nan <= tol is false); it fails the finiteness test instead.
+    R from np.linalg.qr is C-ordered, so the triangular solve hands LAPACK
+    its F-ordered transpose: dtrtrs(R^T, rhs, lower=1, trans=1), the call
+    scipy.linalg.solve_triangular(R, rhs) makes for it. A 1 x 1 R is one
+    division either way. A nonzero info raises RankDeficient.
     """
     q, rmat = np.linalg.qr(U[kept])
     if np.abs(np.diag(rmat)).min() <= RANK_TOL:
@@ -176,7 +217,10 @@ def _kept_row_solve(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarra
         raise NonFiniteValue(
             _blamed_row(U, x, kept), "non-finite number in the kept-row solve"
         )
-    return solve_triangular(rmat, rhs, check_finite=False)
+    a_hat, info = dtrtrs(rmat.T, rhs, lower=1, trans=1)
+    if info != 0:
+        raise RankDeficient(f"triangular solve of the kept rows failed (LAPACK info {info})")
+    return a_hat
 
 
 def _blamed_row(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> int:

@@ -1,12 +1,13 @@
 """Reference code that only the tests use: the plain and an independent l1
-projection to check the closed-form robust projection against, and the
-inverse of the trajectory embedding."""
+projection to check the closed-form robust projection against, the kept-row
+QR solve through scipy.linalg, and the inverse of the trajectory embedding."""
 
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 IRLS_SMOOTHING = 1e-8
 
@@ -28,6 +29,13 @@ def simple_projection(U: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     the residual x - U a_hat."""
     a_hat = U.T @ x
     return a_hat, x - U @ a_hat
+
+
+def kept_row_solve_reference(U: np.ndarray, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Least squares on the kept rows through scipy.linalg's public
+    solve_triangular: QR of U[kept], then R a = Q^T x[kept]."""
+    q, r = np.linalg.qr(U[kept])
+    return solve_triangular(r, q.T @ x[kept], check_finite=False)
 
 
 def l1_projection_oracle(

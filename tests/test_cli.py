@@ -294,6 +294,18 @@ class TestBench:
         args = parser.parse_args(["bench", "--scenario", "table1", "--out", "r.json"])
         assert args.scenario == "table1"
 
+    @pytest.mark.parametrize("name, run_length, amplitude", [
+        ("long_points", 1, 1.0), ("long_runs4", 4, 1.0 / 1.5)])
+    def test_long_stream_scenario_files_parse(self, name, run_length, amplitude):
+        # Parse-level check only: each file streams 10 runs of 20 000 stamps.
+        payload = json.loads((DATA / f"{name}.json").read_text())
+        scenario = cli._scenario_from_payload(payload)
+        assert scenario.name == name
+        assert (scenario.total_len, scenario.train_len) == (20300, 300)
+        assert (scenario.n_runs, scenario.base_seed) == (10, 0)
+        assert (scenario.run_length, scenario.amplitude_factor) == (run_length, amplitude)
+        assert scenario.methods == ("rpe", "spe")
+
 
 class TestMainContract:
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):

@@ -2,6 +2,10 @@
 closed-form robust solve, and the iterative l1 reference solver."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
-from reference import DidNotConverge, l1_projection_oracle, simple_projection
+from reference import (
+    DidNotConverge,
+    kept_row_solve_reference,
+    l1_projection_oracle,
+    simple_projection,
+)
 from rpe import projection
 from rpe.errors import BadBudget, DimensionMismatch, NonFiniteValue, RankDeficient
 from rpe.projection import (
@@ -278,19 +287,25 @@ class TestRobustProjection:
     @pytest.mark.parametrize("floor", [DOWNDATE_FLOOR, np.inf], ids=["downdate", "qr"])
     def test_a_hat_is_the_cores_bit_for_bit(self, monkeypatch, floor):
         # The checked public call and the detector's unchecked core solve the
-        # same way; an infinite floor sends every n_s >= 1 window to the QR.
+        # same way; an infinite floor sends every n_s >= 1 window to the QR,
+        # whose dtrtrs call must give scipy's solve_triangular bits. Rank 1
+        # gives a 1 x 1 R, which solve_triangular solves by its other branch.
         monkeypatch.setattr(projection, "DOWNDATE_FLOOR", floor)
         rng = np.random.default_rng(12)
-        for m1, rank in ((10, 2), (30, 10), (60, 4)):
+        for m1, rank in ((10, 2), (30, 10), (60, 4), (12, 1)):
             u, _ = np.linalg.qr(rng.standard_normal((m1, rank)))
             for n_s in range(6):
                 x = u @ rng.standard_normal(rank) + 0.05 * rng.standard_normal(m1)
                 rows = rng.choice(m1, n_s, replace=False)
                 x[rows] += rng.choice([-1.0, 1.0], n_s) * 10.0 ** rng.uniform(0, 12, n_s)
+                result = robust_projection(u, x, n_s)
                 np.testing.assert_array_equal(
-                    robust_projection(u, x, n_s).a_hat,
-                    projection.robust_coefficients(u, x, n_s),
-                )
+                    result.a_hat, projection.robust_coefficients(u, x, n_s))
+                if n_s and floor == np.inf:
+                    np.testing.assert_array_equal(
+                        _kept_row_solve(u, x, result.kept_rows),
+                        kept_row_solve_reference(u, x, result.kept_rows),
+                    )
 
     def test_result_is_an_immutable_tuple(self):
         u = dct_frame(10, (1, 4))
@@ -303,6 +318,38 @@ class TestRobustProjection:
             "a_hat", "kept_rows", "residual", "prelim_residual")
         with pytest.raises(AttributeError):
             result.a_hat = np.zeros(2)
+
+
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports rpe from src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestKernelImport:
+    def test_import_rpe_leaves_out_scipy_linalg(self):
+        loaded = run_fresh(
+            "import sys, rpe, rpe.cli\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        ).split()
+        assert "scipy.linalg" not in loaded
+        assert loaded == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+    @pytest.mark.parametrize("first", ["rpe", "scipy.linalg"])
+    def test_kernels_are_scipys_own_objects(self, first):
+        # The same f2py objects, whichever side is imported first, so rpe
+        # computes exactly what scipy.linalg.blas and .lapack would.
+        imports = ["import rpe.projection as p",
+                   "import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack"]
+        if first != "rpe":
+            imports.reverse()
+        same = run_fresh("\n".join(imports + [
+            "print(p.dgemv is blas.dgemv, p.dsyrk is blas.dsyrk,"
+            " p.dposv is lapack.dposv, p.dtrtrs is lapack.dtrtrs)"]))
+        assert same.split() == ["True"] * 4
 
 
 class TestL1Oracle:
