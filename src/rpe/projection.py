@@ -22,10 +22,10 @@ coefficients.
 The BLAS and LAPACK kernels (dgemv, dsyrk, dposv, dtrtrs) are scipy's own
 f2py objects from scipy.linalg._fblas and _flapack, loaded from scipy's
 install directory without the package init of scipy and scipy.linalg: that
-init took two thirds of ``import rpe`` and loads nothing rpe calls. The two
-modules are registered in sys.modules under their own names, or reused from
-there, so rpe and ``import scipy.linalg`` share the same kernels in either
-order.
+init would triple the time of ``import rpe`` and loads nothing rpe calls.
+The two modules are registered in sys.modules under their own names, or
+reused from there, so rpe and ``import scipy.linalg`` share the same kernels
+in either order.
 """
 
 from __future__ import annotations

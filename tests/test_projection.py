@@ -335,8 +335,12 @@ class TestKernelImport:
             "import sys, rpe, rpe.cli\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
         ).split()
-        assert "scipy.linalg" not in loaded
         assert loaded == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+    def test_a_missing_compiled_module_raises_import_error(self):
+        with pytest.raises(ImportError, match="scipy.linalg._no_such_module"):
+            projection._linalg_extension("_no_such_module")
+        assert "scipy.linalg._no_such_module" not in sys.modules
 
     @pytest.mark.parametrize("first", ["rpe", "scipy.linalg"])
     def test_kernels_are_scipys_own_objects(self, first):
