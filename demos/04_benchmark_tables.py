@@ -15,6 +15,7 @@ Run:  python3 demos/04_benchmark_tables.py       (about a minute)
 
 import dataclasses
 
+from rpe.detector import DetectorConfig
 from rpe.evaluation import TABLE_SCENARIOS, run_scenario
 
 LABELS = {
@@ -41,7 +42,7 @@ def main() -> None:
             TABLE_SCENARIOS["table3"],
             name=f"window{m1}",
             methods=("rpe",),
-            detector_config={"M1": m1},
+            detector_config=DetectorConfig(M1=m1),
         )
         score = run_scenario(scenario).methods["rpe"].mean_f1
         note = "  <- too short for the slow components" if m1 == 10 else ""

@@ -40,8 +40,8 @@ from .evaluation import (
     max_f1,
     method_scores,
     pr_curve,
-    run_labeled_series,
     run_scenario,
+    score_runs,
 )
 from .projection import RobustProjectionResult, robust_projection
 from .subspace import (
@@ -80,7 +80,7 @@ __all__ = [
     "score_series", "step", "train", "warm_start",
     "BenchmarkReport", "MethodSummary", "PrCurvePoint", "Scenario",
     "TABLE_SCENARIOS", "max_f1", "method_scores", "pr_curve",
-    "run_labeled_series", "run_scenario",
+    "run_scenario", "score_runs",
     "RobustProjectionResult", "robust_projection",
     "SubspaceModel", "estimate_columnwise", "estimate_elementwise",
     "estimate_simple", "load_model", "model_from_dict", "model_to_dict",

@@ -49,8 +49,6 @@ def _fit_ar_weights(values: np.ndarray, window: int) -> np.ndarray:
 class RpeDetector:
     """Streaming adapter around the robust-projection detector."""
 
-    method = "rpe"
-
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config if config is not None else DetectorConfig()
         self.state: DetectorState | None = None
@@ -72,8 +70,6 @@ class RpeDetector:
 
 class SpeDetector(RpeDetector):
     """The rpe detector with n_s = 0: every window is projected on all rows."""
-
-    method = "spe"
 
     def __init__(self, config: DetectorConfig | None = None):
         super().__init__(dataclasses.replace(config or DetectorConfig(), n_s=0))
@@ -115,8 +111,6 @@ class IidDetector(_ReferenceDetector):
     oldest entry once the buffer is full.
     """
 
-    method = "iid"
-
     def __init__(self, threshold: float = 0.95, buffer_len: int = IID_BUFFER_LEN):
         super().__init__(threshold)
         self.buffer_len = buffer_len
@@ -152,8 +146,6 @@ class ArDetector(_ReferenceDetector):
     cdf_score ranks the residual magnitude against past magnitudes, seeded
     from the training residuals, mirroring the detector's memory semantics.
     """
-
-    method = "ar"
 
     def __init__(self, threshold: float = 0.95, window: int = AR_WINDOW,
                  retrain_every: int = AR_RETRAIN_EVERY):

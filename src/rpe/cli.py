@@ -30,42 +30,45 @@ from .evaluation import (
     DEFAULT_METHODS,
     Scenario,
     TABLE_SCENARIOS,
-    run_labeled_series,
     run_scenario,
+    score_runs,
     write_report,
 )
 from .subspace import load_model, save_model
 from .synth import AnomalySpec, SynthSpec, generate_clean, inject_anomalies
 from .trajectory import read_csv, write_csv
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(DetectorConfig)}
-_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario)} - {"name"}
-
-
-def _load_json(path):
+def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise TypeError(f"{path} holds no JSON object")
+    return payload
 
 
-def _load_config(path: str | None, **overrides) -> DetectorConfig:
-    payload = dict(_load_json(path)) if path else {}
-    unknown = set(payload) - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    payload.update(overrides)
-    return DetectorConfig(**payload)
+def _tuples(value):
+    """value with every JSON list, nested ones too, turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _build(cls, payload: dict):
+    """cls from a JSON object. The constructor is the schema: a key it has no
+    field for raises a TypeError that names the key."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"{cls.__name__} needs a JSON object, got {payload!r}")
+    return cls(**{key: _tuples(value) for key, value in payload.items()})
+
+
+def _load_config(path: str | None) -> DetectorConfig:
+    return _build(DetectorConfig, _load_json(path)) if path else DetectorConfig()
 
 
 def _cmd_synth(args) -> int:
     payload = _load_json(args.spec)
     anomalies = payload.pop("anomalies", None)
-    if "weights" in payload:
-        payload["weights"] = tuple(payload["weights"])
-    if "period_ranges" in payload:
-        payload["period_ranges"] = tuple(tuple(r) for r in payload["period_ranges"])
-    series = generate_clean(SynthSpec(**payload))
+    series = generate_clean(_build(SynthSpec, payload))
     if anomalies is not None:
-        series = inject_anomalies(series, AnomalySpec(**anomalies))
+        series = inject_anomalies(series, _build(AnomalySpec, anomalies))
     write_csv(args.out, series)
     print(f"wrote {len(series)} samples to {args.out}")
     return 0
@@ -96,7 +99,10 @@ def _cmd_detect(args) -> int:
         if not args.model:
             raise ValueError(f"--model is required for method {args.method}")
         model = load_model(args.model)
-        det = make_detector(args.method, _load_config(args.config, M1=model.M1))
+        # The model's window is the default; a config that sets another M1
+        # fails the state's model check.
+        payload = _load_json(args.config) if args.config else {}
+        det = make_detector(args.method, _build(DetectorConfig, {"M1": model.M1, **payload}))
         if args.train:
             det.warm_start(model, read_csv(args.train, impute_median=args.impute_median).values)
         else:
@@ -146,13 +152,19 @@ def _make_curve_sink(directory):
 
 
 def _scenario_from_payload(payload: dict) -> Scenario:
-    fields = {k: v for k, v in payload.items() if k in _SCENARIO_FIELDS}
-    unknown = set(payload) - _SCENARIO_FIELDS - {"name", "kind"}
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    if "methods" in fields:
-        fields["methods"] = tuple(fields["methods"])
-    return Scenario(name=payload.get("name", "custom"), **fields)
+    payload = {"name": "custom", **payload}
+    payload["detector_config"] = _build(DetectorConfig, payload.get("detector_config", {}))
+    return _build(Scenario, payload)
+
+
+def _bench_csv(impute_median: bool, curve_sink, /, path: str, name: str | None = None,
+               train_len: int = 100, methods=DEFAULT_METHODS, detector_config=None):
+    """Score the labelled CSV at path as one run. The keyword parameters are
+    the keys of a "kind": "csv" scenario, so binding them checks the keys."""
+    series = read_csv(path, impute_median=impute_median)
+    config = _build(DetectorConfig, detector_config or {})
+    name = Path(path).name if name is None else name
+    return score_runs(name, [series], train_len, methods, config, curve_sink=curve_sink)
 
 
 def _cmd_bench(args) -> int:
@@ -161,16 +173,8 @@ def _cmd_bench(args) -> int:
         report = run_scenario(TABLE_SCENARIOS[args.scenario], curve_sink=sink)
     else:
         payload = _load_json(args.scenario)
-        if payload.get("kind") == "csv":
-            series = read_csv(payload["path"], impute_median=args.impute_median)
-            report = run_labeled_series(
-                series,
-                train_len=payload.get("train_len", 100),
-                methods=tuple(payload.get("methods", DEFAULT_METHODS)),
-                detector_config=payload.get("detector", {}),
-                name=payload.get("name", Path(payload["path"]).name),
-                curve_sink=sink,
-            )
+        if payload.pop("kind", None) == "csv":
+            report = _bench_csv(args.impute_median, sink, **payload)
         else:
             report = run_scenario(_scenario_from_payload(payload), curve_sink=sink)
     write_report(report, args.out)

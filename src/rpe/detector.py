@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 from sortedcontainers import SortedList
 
-from .errors import BadBudget, NonFiniteValue, NotTrained, SeriesTooShort
+from .errors import BadBudget, NonFiniteValue, SeriesTooShort
 from .projection import robust_coefficients as robust_projection
 from .subspace import DEFAULT_RANK_CAP, ESTIMATORS, SubspaceModel
 from .trajectory import build_trajectory, series_values
@@ -174,19 +174,18 @@ class DetectorState:
     the first window (SeriesTooShort).
     """
 
-    def __init__(self, config: DetectorConfig, model: SubspaceModel | None,
+    def __init__(self, config: DetectorConfig, model: SubspaceModel,
                  memory: ResidualMemory, history, counter: int = 0,
                  samples_seen: int = 0):
         kept = np.asarray(history, dtype=float)[-config.t_max:]
-        if model is not None:
-            if model.M1 != config.M1:
-                raise ValueError(f"model window {model.M1} does not match config M1 {config.M1}")
-            if model.r + config.n_s > config.M1:
-                raise BadBudget(f"n_s={config.n_s} with rank {model.r} and M1={config.M1}")
-            if kept.size < config.M1 - 1:
-                raise SeriesTooShort(
-                    f"a window needs {config.M1 - 1} history values, got {kept.size}"
-                )
+        if model.M1 != config.M1:
+            raise ValueError(f"model window {model.M1} does not match config M1 {config.M1}")
+        if model.r + config.n_s > config.M1:
+            raise BadBudget(f"n_s={config.n_s} with rank {model.r} and M1={config.M1}")
+        if kept.size < config.M1 - 1:
+            raise SeriesTooShort(
+                f"a window needs {config.M1 - 1} history values, got {kept.size}"
+            )
         self.config = config
         self.model = model
         self.memory = memory
@@ -208,7 +207,7 @@ class DetectorState:
         """
         end = self._end
         self._buffer[end] = value
-        return self._buffer[max(self._start, end + 1 - self.config.M1):end + 1]
+        return self._buffer[end + 1 - self.config.M1:end + 1]
 
     def _push(self, value: float) -> None:
         """Commit value as the newest kept value."""
@@ -292,8 +291,6 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
     the state as it was.
     """
     model = state.model
-    if model is None:
-        raise NotTrained("call train() before step()")
     config = state.config
     index = state.samples_seen
     value = float(value)

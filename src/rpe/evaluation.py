@@ -6,8 +6,10 @@ the best point; ties prefer higher precision, then the higher threshold, so
 results never depend on input order and padding the candidate set with
 redundant thresholds cannot change the outcome.
 
-Benchmark scenarios generate seeded synthetic series, train each method on
-the clean prefix, stream the rest, and average per-run best-F1 points. The
+``score_runs`` is the one scoring loop: it trains each method on the prefix
+of each labelled series, streams the rest, and averages the per-run best-F1
+points. Synthetic scenarios feed it seeded generated series
+(``run_scenario``); a user's labelled CSV is one series fed the same way. The
 score axis is the absolute residual for rpe/spe/ar and the probability-style
 score for iid; the flagging threshold plays no part in evaluation.
 """
@@ -15,7 +17,7 @@ score for iid; the flagging threshold plays no part in evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,7 +116,7 @@ class Scenario:
     amplitude_factor: float = 1.0
     run_length: int = 1
     methods: tuple[str, ...] = DEFAULT_METHODS
-    detector_config: dict = field(default_factory=dict)
+    detector_config: DetectorConfig = DetectorConfig()
 
 
 TABLE_SCENARIOS: dict[str, Scenario] = {
@@ -153,7 +155,7 @@ def scenario_run_series(scenario: Scenario, seed: int) -> TimeSeries:
 
 
 def method_scores(series: TimeSeries, train_len: int, methods=DEFAULT_METHODS,
-                  detector_config: dict | None = None
+                  config: DetectorConfig = DetectorConfig()
                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Train each method on the prefix and stream the rest.
 
@@ -169,7 +171,6 @@ def method_scores(series: TimeSeries, train_len: int, methods=DEFAULT_METHODS,
     test_labels = series.labels[train_len:]
     scores: dict[str, np.ndarray] = {}
     for method in methods:
-        config = DetectorConfig(**(detector_config or {}))
         det = make_detector(method, config)
         det.fit(train_values)
         records = [det.step(float(v)) for v in test_values]
@@ -177,29 +178,39 @@ def method_scores(series: TimeSeries, train_len: int, methods=DEFAULT_METHODS,
     return scores, test_labels
 
 
-def run_scenario(scenario: Scenario, curve_sink=None) -> BenchmarkReport:
-    """Average per-run best-F1 points over the scenario's seeded runs.
+def score_runs(name: str, runs, train_len: int, methods=DEFAULT_METHODS,
+               config: DetectorConfig = DetectorConfig(), seeds: tuple[int, ...] = (),
+               curve_sink=None) -> BenchmarkReport:
+    """Average per-run best-F1 points over labelled series.
 
-    curve_sink, when given, is called as curve_sink(method, run_index, curve)
-    with the full precision/recall curve of each run.
+    runs is an iterable of labelled series, each scored by method_scores as
+    it is drawn; n_runs is the number scored. curve_sink, when given, is
+    called as curve_sink(method, run_index, curve) with the full
+    precision/recall curve of each run.
     """
-    seeds = tuple(scenario.base_seed + i for i in range(scenario.n_runs))
-    points: dict[str, list[PrCurvePoint]] = {m: [] for m in scenario.methods}
-    for run_index, seed in enumerate(seeds):
-        series = scenario_run_series(scenario, seed)
-        scores, labels = method_scores(
-            series, scenario.train_len, scenario.methods, scenario.detector_config
-        )
+    points: dict[str, list[PrCurvePoint]] = {m: [] for m in methods}
+    n_runs = 0
+    for run_index, series in enumerate(runs):
+        scores, labels = method_scores(series, train_len, methods, config)
         for method, s in scores.items():
             points[method].append(max_f1(s, labels))
             if curve_sink is not None:
                 curve_sink(method, run_index, pr_curve(s, labels))
+        n_runs += 1
     return BenchmarkReport(
-        scenario=scenario.name,
-        n_runs=scenario.n_runs,
+        scenario=name,
+        n_runs=n_runs,
         seeds=seeds,
         methods={method: _summary(pts) for method, pts in points.items()},
     )
+
+
+def run_scenario(scenario: Scenario, curve_sink=None) -> BenchmarkReport:
+    """score_runs over the scenario's seeded runs."""
+    seeds = tuple(scenario.base_seed + i for i in range(scenario.n_runs))
+    runs = (scenario_run_series(scenario, seed) for seed in seeds)
+    return score_runs(scenario.name, runs, scenario.train_len, scenario.methods,
+                      scenario.detector_config, seeds, curve_sink)
 
 
 def _summary(points: list[PrCurvePoint]) -> MethodSummary:
@@ -210,22 +221,6 @@ def _summary(points: list[PrCurvePoint]) -> MethodSummary:
         mean_recall=float(np.mean([p.recall for p in points])),
         per_run=tuple(points),
     )
-
-
-def run_labeled_series(series: TimeSeries, train_len: int = 100,
-                       methods=DEFAULT_METHODS,
-                       detector_config: dict | None = None,
-                       name: str = "labeled-series",
-                       curve_sink=None) -> BenchmarkReport:
-    """Single-run benchmark over a user-supplied labelled series."""
-    scores, labels = method_scores(series, train_len, methods, detector_config)
-    methods_summary = {}
-    for method, s in scores.items():
-        point = max_f1(s, labels)
-        if curve_sink is not None:
-            curve_sink(method, 0, pr_curve(s, labels))
-        methods_summary[method] = _summary([point])
-    return BenchmarkReport(scenario=name, n_runs=1, seeds=(), methods=methods_summary)
 
 
 def write_report(report: BenchmarkReport, path) -> None:

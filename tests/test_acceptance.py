@@ -22,6 +22,7 @@ from scipy.fft import dct
 from reference import l1_projection_oracle
 from rpe import cli
 from rpe.coherence import mu_squared
+from rpe.detector import DetectorConfig
 from rpe.evaluation import TABLE_SCENARIOS, run_scenario
 from rpe.projection import robust_projection
 
@@ -301,7 +302,7 @@ def window_sweep(table3):
             TABLE_SCENARIOS["table3"],
             name=f"window{m1}",
             methods=("rpe",),
-            detector_config={"M1": m1},
+            detector_config=DetectorConfig(M1=m1),
         )
         sweep[m1] = run_scenario(scenario).methods["rpe"].mean_f1
     return sweep

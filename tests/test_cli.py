@@ -68,7 +68,15 @@ class TestSynth:
     def test_bad_spec_key_fails(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", {"length": 120, "wavelength": 3})
         assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "wavelength" in err
+
+    def test_bad_anomaly_key_fails(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json",
+                          {"length": 120, "anomalies": {"fraction": 0.04, "amplitude": 2}})
+        assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "amplitude" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -181,6 +189,27 @@ class TestDetect:
         assert outputs["spe"].read_bytes() == outputs["n_s0"].read_bytes()
         assert outputs["spe"].read_bytes() != outputs["rpe"].read_bytes()
 
+    def test_config_without_M1_takes_the_model_window(self, tmp_path, series_csv):
+        cfg = write_json(tmp_path / "m20.json", {"M1": 20})
+        model = tmp_path / "m20_model.json"
+        assert cli.main(["train", "--input", str(series_csv), "--config", cfg,
+                         "--output", str(model)]) == 0
+        n_s = write_json(tmp_path / "n_s.json", {"n_s": 3})
+        out = tmp_path / "s.csv"
+        assert cli.main(["detect", "--model", str(model), "--config", n_s,
+                         "--input", str(series_csv), "--output", str(out)]) == 0
+        assert len(read_scores(out)) == 280
+
+    @pytest.mark.parametrize("start", ["warm", "cold"])
+    def test_config_M1_other_than_the_model_is_rejected(self, tmp_path, series_csv, model_json,
+                                                        capsys, start):
+        cfg = write_json(tmp_path / "cfg.json", {"M1": 20})
+        seed = ["--train", str(series_csv)] if start == "warm" else []
+        code = cli.main(["detect", "--model", str(model_json), *seed, "--config", cfg,
+                         "--input", str(series_csv), "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "model window 30 does not match config M1 20" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["iid", "ar"])
     def test_reference_methods_require_training_csv(self, tmp_path, series_csv,
                                                     method, capsys):
@@ -279,6 +308,35 @@ class TestBench:
         with open(curve_file) as fh:
             header = fh.readline().strip().split(",")
         assert header == ["threshold", "precision", "recall", "f1"]
+
+    def test_csv_scenario_honours_detector_config(self, tmp_path):
+        reports = {}
+        for name, extra in (("default", {}), ("short", {"detector_config": {"M1": 10, "n_s": 0}})):
+            scenario = write_json(
+                tmp_path / f"{name}.json",
+                {"kind": "csv", "path": str(DATA / "sample_labeled.csv"), "methods": ["rpe"],
+                 **extra},
+            )
+            out = tmp_path / f"{name}_report.json"
+            assert cli.main(["bench", "--scenario", scenario, "--out", str(out)]) == 0
+            reports[name] = json.loads(out.read_text())["methods"]["rpe"]
+        assert reports["default"]["mean_f1"] == 1.0
+        assert reports["short"] != reports["default"]
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"kind": "csv", "detector": {"M1": 10}}, "detector"),
+        ({"kind": "csv", "train_lne": 100}, "train_lne"),
+        ({"kind": "csv", "detector_config": {"M1": 10, "bogus": 1}}, "bogus"),
+        ({"name": "x", "detector_config": {"M1": 10, "bogus": 1}}, "bogus"),
+    ], ids=["csv-detector", "csv-typo", "csv-nested", "synthetic-nested"])
+    def test_unknown_nested_or_csv_key_rejected(self, tmp_path, capsys, payload, key):
+        if payload.get("kind") == "csv":
+            payload = {**payload, "path": str(DATA / "sample_labeled.csv")}
+        scenario = write_json(tmp_path / "scenario.json", payload)
+        code = cli.main(["bench", "--scenario", scenario, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_scenario_key_rejected(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "scenario.json",

@@ -21,7 +21,6 @@ from rpe.detector import (
 from rpe.errors import (
     BadBudget,
     NonFiniteValue,
-    NotTrained,
     RankDeficient,
     SeriesTooShort,
 )
@@ -202,13 +201,6 @@ def shift_invariant_model() -> tuple[SubspaceModel, np.ndarray]:
 
 
 class TestStep:
-    def test_not_trained(self):
-        bare = DetectorState(
-            config=DetectorConfig(), model=None, memory=ResidualMemory(), history=[]
-        )
-        with pytest.raises(NotTrained):
-            step(bare, 1.0)
-
     def test_clean_value_passes_through(self):
         model, pattern = shift_invariant_model()
         st = warm_start(model, series(pattern[:80]))

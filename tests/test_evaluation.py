@@ -18,9 +18,9 @@ from rpe.evaluation import (
     max_f1,
     method_scores,
     pr_curve,
-    run_labeled_series,
     run_scenario,
     scenario_run_series,
+    score_runs,
     write_report,
 )
 from rpe.trajectory import read_csv
@@ -192,8 +192,9 @@ class TestRunScenario:
 class TestRunLabeledSeries:
     def test_bundled_sample(self):
         series = read_csv(DATA / "sample_labeled.csv")
-        report = run_labeled_series(series, train_len=100)
+        report = score_runs("sample", [series], train_len=100)
         assert report.n_runs == 1
+        assert report.seeds == ()
         assert set(report.methods) == set(DEFAULT_METHODS)
         for summary in report.methods.values():
             assert len(summary.per_run) == 1

@@ -34,7 +34,7 @@ def test_report_is_deterministic_and_counts_the_solves():
     # once, at step 100. Then one line per CLI command on the seed's
     # cli-workflow inputs.
     cmd = [sys.executable, str(ROOT / "tools" / "score_report.py"), str(ROOT),
-           "--seeds", "0", "--steps", "300", "--tables"]
+           "--seeds", "0", "--steps", "300", "--tables", "none"]
     first = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     second = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     assert first == second
@@ -58,3 +58,13 @@ def test_report_is_deterministic_and_counts_the_solves():
         + cli_lines,
         first,
     )
+
+
+def test_empty_tables_is_a_usage_error():
+    # An empty --tables would silently run no table; "none" is the one way to
+    # ask for that.
+    cmd = [sys.executable, str(ROOT / "tools" / "score_report.py"), str(ROOT),
+           "--seeds", "--tables"]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "--tables" in result.stderr

@@ -1,7 +1,7 @@
 """Print the scores a checkout produces, so two checkouts can be diffed.
 
     python3 tools/score_report.py <checkout> > report.txt
-    python3 tools/score_report.py <checkout> --seeds 101 102 --steps 20000 --tables
+    python3 tools/score_report.py <checkout> --seeds 101 102 --steps 20000 --tables none
 
 The report runs in a fresh interpreter with one BLAS thread, importing `rpe`
 from `<checkout>/src` and the stream inputs from `<checkout>/bench/inputs.py`.
@@ -26,9 +26,9 @@ of CLI_CONFIG): train, coherence, detect warm and cold, spe, rpe with
 n_s = 0, ar and iid, and the two usage errors of detect. Each command prints one line: its exit code and
 the SHA-256 of its stdout, its stderr and every file it writes (commands run
 in a scratch directory with relative paths, so the bytes do not depend on
-where it lies). Then, for every table named by `--tables`, it
-prints each method's mean F1 in `rpe bench`, the QR solves of the table, and
-the SHA-256 of its per-run PR curve CSVs (`--emit-curves`), each file's name
+where it lies). Then, for every table named by `--tables` (default table1-4;
+`none` runs no table), it prints each method's mean F1 in `rpe bench`, the QR
+solves of the table, and the SHA-256 of its per-run PR curve CSVs (`--emit-curves`), each file's name
 and bytes in sorted name order, so a bit changed in any run's scores shows
 even where the mean F1 hides it. Every float is printed with repr, so any
 change of a bit shows in the diff.
@@ -85,6 +85,7 @@ CLI_COMMANDS = {
     "error_no_model": _DETECT + ["--output", "no_model.csv"],
     "error_no_train": _DETECT + ["--method", "ar", "--output", "no_train.csv"],
 }
+TABLES = ("table1", "table2", "table3", "table4")
 PROJECTION_M1 = (5, 10, 30, 60)
 PROJECTION_REPEATS = 20  # windows per (M1, rank, n_s)
 PROJECTION_FIELDS = ("a_hat", "kept_rows", "residual", "prelim_residual")
@@ -98,10 +99,15 @@ def parse_args(argv):
                         help="stream-long seeds (default 0-9; none: skip)")
     parser.add_argument("--steps", type=int, default=100_000,
                         help="stamps streamed per seed (default 100000)")
-    parser.add_argument("--tables", nargs="*", default=["table1", "table2", "table3", "table4"],
-                        help="rpe bench scenarios to report (none: skip)")
+    parser.add_argument("--tables", nargs="+", default=list(TABLES), choices=TABLES + ("none",),
+                        help="rpe bench scenarios to report (default all four; none: skip)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if "none" in args.tables:
+        if len(args.tables) > 1:
+            parser.error("--tables none takes no table names")
+        args.tables = []
+    return args
 
 
 def main(argv=None) -> int:
