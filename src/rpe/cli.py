@@ -9,7 +9,9 @@ Subcommands:
 * ``bench``: run a benchmark scenario, write a JSON report.
 
 CSV rows are ``timestamp,value[,label]``; score rows are
-``index,value,residual,cdf_score,flagged``.
+``index,value,residual,cdf_score,flagged``. Every JSON object read is built
+straight into its dataclass (or, for a CSV scenario, bound to the parameters
+of the function that runs it), so an unknown key fails there and is named.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .evaluation import (
 from .subspace import load_model, save_model
 from .synth import AnomalySpec, SynthSpec, generate_clean, inject_anomalies
 from .trajectory import read_csv, write_csv
+
 
 def _load_json(path) -> dict:
     with open(path) as fh:
@@ -108,7 +111,7 @@ def _cmd_detect(args) -> int:
         else:
             # Cold start: the first window of the input seeds the history and
             # the residual memory fills as scoring proceeds.
-            offset = model.M1
+            offset = det.config.M1
             if len(series) <= offset:
                 raise ValueError(f"input must exceed M1={offset} samples without --train")
             det.warm_start(model, series.values[:offset])

@@ -200,15 +200,16 @@ class TestDetect:
                          "--input", str(series_csv), "--output", str(out)]) == 0
         assert len(read_scores(out)) == 280
 
+    @pytest.mark.parametrize("M1", [20, 40])
     @pytest.mark.parametrize("start", ["warm", "cold"])
     def test_config_M1_other_than_the_model_is_rejected(self, tmp_path, series_csv, model_json,
-                                                        capsys, start):
-        cfg = write_json(tmp_path / "cfg.json", {"M1": 20})
+                                                        capsys, start, M1):
+        cfg = write_json(tmp_path / "cfg.json", {"M1": M1})
         seed = ["--train", str(series_csv)] if start == "warm" else []
         code = cli.main(["detect", "--model", str(model_json), *seed, "--config", cfg,
                          "--input", str(series_csv), "--output", str(tmp_path / "s.csv")])
         assert code == 2
-        assert "model window 30 does not match config M1 20" in capsys.readouterr().err
+        assert f"model window 30 does not match config M1 {M1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["iid", "ar"])
     def test_reference_methods_require_training_csv(self, tmp_path, series_csv,
