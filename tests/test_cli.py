@@ -325,14 +325,15 @@ class TestBench:
         assert reports["short"] != reports["default"]
 
     @pytest.mark.parametrize("payload, key", [
-        ({"kind": "csv", "detector": {"M1": 10}}, "detector"),
-        ({"kind": "csv", "train_lne": 100}, "train_lne"),
-        ({"kind": "csv", "detector_config": {"M1": 10, "bogus": 1}}, "bogus"),
+        ({"kind": "csv", "path": str(DATA / "sample_labeled.csv"), "detector": {"M1": 10}},
+         "detector"),
+        ({"kind": "csv", "path": str(DATA / "sample_labeled.csv"), "train_lne": 100},
+         "train_lne"),
+        ({"kind": "csv", "path": str(DATA / "sample_labeled.csv"),
+          "detector_config": {"M1": 10, "bogus": 1}}, "bogus"),
         ({"name": "x", "detector_config": {"M1": 10, "bogus": 1}}, "bogus"),
     ], ids=["csv-detector", "csv-typo", "csv-nested", "synthetic-nested"])
     def test_unknown_nested_or_csv_key_rejected(self, tmp_path, capsys, payload, key):
-        if payload.get("kind") == "csv":
-            payload = {**payload, "path": str(DATA / "sample_labeled.csv")}
         scenario = write_json(tmp_path / "scenario.json", payload)
         code = cli.main(["bench", "--scenario", scenario, "--out", str(tmp_path / "r.json")])
         assert code == 2

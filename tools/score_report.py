@@ -28,10 +28,10 @@ the SHA-256 of its stdout, its stderr and every file it writes (commands run
 in a scratch directory with relative paths, so the bytes do not depend on
 where it lies). Then, for every table named by `--tables` (default table1-4;
 `none` runs no table), it prints each method's mean F1 in `rpe bench`, the QR
-solves of the table, and the SHA-256 of its per-run PR curve CSVs (`--emit-curves`), each file's name
-and bytes in sorted name order, so a bit changed in any run's scores shows
-even where the mean F1 hides it. Every float is printed with repr, so any
-change of a bit shows in the diff.
+solves of the table, and the SHA-256 of its per-run PR curve CSVs
+(`--emit-curves`), each file's name and bytes in sorted name order, so a bit
+changed in any run's scores shows even where the mean F1 hides it. Every
+float is printed with repr, so any change of a bit shows in the diff.
 
 The first line checks the public `rpe.projection.robust_projection` on its
 own. It calls it on fixed seeded windows: M1 of 5, 10, 30 and 60, ranks 1, 3
