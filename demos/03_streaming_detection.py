@@ -14,7 +14,7 @@ Run:  python3 demos/03_streaming_detection.py
 
 import numpy as np
 
-from rpe.detector import DetectorConfig, score_series, train
+from rpe.detector import DetectorConfig, train
 from rpe.synth import SynthSpec, anomaly_scale, generate_clean
 from rpe.trajectory import TimeSeries
 
@@ -24,7 +24,7 @@ ANOMALIES = (21, 26)  # offsets into the streamed half
 
 def run(config: DetectorConfig, clean, stream):
     state = train(TimeSeries(values=clean.values[:TRAIN_LEN].copy()), config)
-    records = score_series(state, stream.tolist())
+    records = [state.step(v) for v in stream.tolist()]
     return {r.index: r for r in records}
 
 

@@ -11,9 +11,8 @@ threshold-free scores in [0, 1].
 from .baselines import (
     ArDetector,
     IidDetector,
-    RpeDetector,
-    SpeDetector,
     make_detector,
+    method_config,
 )
 from .coherence import (
     CoherenceReport,
@@ -26,7 +25,6 @@ from .detector import (
     DetectorState,
     ResidualMemory,
     ScoreRecord,
-    score_series,
     step,
     train,
     warm_start,
@@ -73,11 +71,10 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArDetector", "IidDetector", "RpeDetector", "SpeDetector",
-    "make_detector",
+    "ArDetector", "IidDetector", "make_detector", "method_config",
     "CoherenceReport", "coherence_report", "gamma_estimate", "mu_squared",
     "DetectorConfig", "DetectorState", "ResidualMemory", "ScoreRecord",
-    "score_series", "step", "train", "warm_start",
+    "step", "train", "warm_start",
     "BenchmarkReport", "MethodSummary", "PrCurvePoint", "Scenario",
     "TABLE_SCENARIOS", "max_f1", "method_scores", "pr_curve",
     "run_scenario", "score_runs",

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import detector as detector_mod
-from .baselines import make_detector
+from .baselines import make_detector, method_config
 from .coherence import coherence_report
 from .detector import DetectorConfig
 from .errors import RpeError
@@ -105,21 +105,23 @@ def _cmd_detect(args) -> int:
         # The model's window is the default; a config that sets another M1
         # fails the state's model check.
         payload = _load_json(args.config) if args.config else {}
-        det = make_detector(args.method, _build(DetectorConfig, {"M1": model.M1, **payload}))
+        config = method_config(args.method, _build(DetectorConfig, {"M1": model.M1, **payload}))
         if args.train:
-            det.warm_start(model, read_csv(args.train, impute_median=args.impute_median).values)
+            seed = read_csv(args.train, impute_median=args.impute_median).values
         else:
             # Cold start: the first window of the input seeds the history and
             # the residual memory fills as scoring proceeds.
-            offset = det.config.M1
+            offset = config.M1
             if len(series) <= offset:
                 raise ValueError(f"input must exceed M1={offset} samples without --train")
-            det.warm_start(model, series.values[:offset])
+            seed = series.values[:offset]
+        det = detector_mod.warm_start(model, seed, config)
     else:
         if not args.train:
             raise ValueError(f"--train is required for method {args.method}")
-        det = make_detector(args.method, _load_config(args.config))
-        det.fit(read_csv(args.train, impute_median=args.impute_median).values)
+        config = _load_config(args.config)
+        train = read_csv(args.train, impute_median=args.impute_median)
+        det = make_detector(args.method, train.values, config)
     rows = []
     for i, value in enumerate(series.values[offset:], start=offset):
         rec = det.step(float(value))
@@ -176,6 +178,8 @@ def _cmd_bench(args) -> int:
         report = run_scenario(TABLE_SCENARIOS[args.scenario], curve_sink=sink)
     else:
         payload = _load_json(args.scenario)
+        if payload.get("kind", "csv") != "csv":
+            raise ValueError(f'scenario kind must be "csv" or absent, got {payload["kind"]!r}')
         if payload.pop("kind", None) == "csv":
             report = _bench_csv(args.impute_median, sink, **payload)
         else:

@@ -20,6 +20,12 @@ then gets one score record:
    while the history buffer holds fewer than t_max values; once it is full
    the basis is considered stable.
 
+train and warm_start return a DetectorState, which is the rpe (and, with
+n_s = 0, the spe) detector of the shared protocol in the baselines module:
+state.step(value) is step(state, value). The method looks the module
+function up when it is called, so a wrapper put on detector.step sees every
+step.
+
 The history is a float64 buffer holding the last t_max stored values, so the
 newest window is a slice of it and the history does not grow with the stream.
 The residual memory is a sorted multiset with O(log n) insert and rank, and
@@ -199,6 +205,10 @@ class DetectorState:
     def history(self) -> np.ndarray:
         return self._buffer[self._start:self._end].copy()
 
+    def step(self, value: float) -> ScoreRecord:
+        """step(self, value): the module function, looked up when called."""
+        return step(self, value)
+
     def _window(self, value: float) -> np.ndarray:
         """The newest window: the last M1 - 1 kept values, then value.
 
@@ -318,8 +328,3 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
         state.model = fit_model(state.history, config)
 
     return ScoreRecord(index, residual, magnitude, cdf_score, flagged, replaced_value)
-
-
-def score_series(state: DetectorState, t) -> list[ScoreRecord]:
-    """Run step() over every value of the series in order."""
-    return [step(state, float(v)) for v in series_values(t)]

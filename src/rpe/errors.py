@@ -53,8 +53,3 @@ class CannotPlace(RpeError):
 
 class NoPositives(RpeError):
     """Evaluation requires at least one positive label."""
-
-
-class NotTrained(RpeError):
-    """The detector state has no fitted model."""
-

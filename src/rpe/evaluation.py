@@ -118,6 +118,10 @@ class Scenario:
     methods: tuple[str, ...] = DEFAULT_METHODS
     detector_config: DetectorConfig = DetectorConfig()
 
+    def __post_init__(self):
+        if self.n_runs < 1:
+            raise ValueError(f"n_runs must be at least 1, got {self.n_runs!r}")
+
 
 TABLE_SCENARIOS: dict[str, Scenario] = {
     # Point anomalies at full amplitude.
@@ -171,8 +175,7 @@ def method_scores(series: TimeSeries, train_len: int, methods=DEFAULT_METHODS,
     test_labels = series.labels[train_len:]
     scores: dict[str, np.ndarray] = {}
     for method in methods:
-        det = make_detector(method, config)
-        det.fit(train_values)
+        det = make_detector(method, train_values, config)
         records = [det.step(float(v)) for v in test_values]
         scores[method] = np.array([getattr(rec, _SCORE_FIELD[method]) for rec in records])
     return scores, test_labels
@@ -184,10 +187,16 @@ def score_runs(name: str, runs, train_len: int, methods=DEFAULT_METHODS,
     """Average per-run best-F1 points over labelled series.
 
     runs is an iterable of labelled series, each scored by method_scores as
-    it is drawn; n_runs is the number scored. curve_sink, when given, is
+    it is drawn; n_runs is the number scored. An empty methods list or an
+    unknown method raises ValueError before any run. curve_sink, when given, is
     called as curve_sink(method, run_index, curve) with the full
     precision/recall curve of each run.
     """
+    if not methods:
+        raise ValueError(f"methods must name at least one of {', '.join(DEFAULT_METHODS)}")
+    for method in methods:
+        if method not in DEFAULT_METHODS:
+            raise ValueError(f"unknown method {method!r}")
     points: dict[str, list[PrCurvePoint]] = {m: [] for m in methods}
     n_runs = 0
     for run_index, series in enumerate(runs):

@@ -348,6 +348,25 @@ class TestBench:
         assert code == 2
         assert "n_rnus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, problem", [
+        ({"name": "x", "n_runs": 0, "methods": ["iid"]}, "n_runs must be at least 1, got 0"),
+        ({"name": "x", "n_runs": 1, "methods": []}, "methods must name at least one"),
+        ({"kind": "csv", "path": str(DATA / "sample_labeled.csv"), "methods": []},
+         "methods must name at least one"),
+        ({"name": "x", "n_runs": 1, "methods": ["iid", "median"]}, "unknown method 'median'"),
+        ({"kind": "Csv", "path": str(DATA / "sample_labeled.csv")},
+         'scenario kind must be "csv" or absent, got \'Csv\''),
+    ], ids=["no-runs", "no-methods", "csv-no-methods", "unknown-method", "misspelt-kind"])
+    def test_scenario_that_scores_nothing_is_rejected(self, tmp_path, capsys, payload, problem):
+        # Each of these once exited 0: n_runs 0 wrote a NaN mean F1, an empty
+        # method list wrote an empty report, and a kind other than "csv" ran
+        # as a synthetic scenario.
+        scenario = write_json(tmp_path / "scenario.json", payload)
+        code = cli.main(["bench", "--scenario", scenario, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"error: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_named_table_scenarios_are_accepted(self):
         # Parse-level check only; the full tables run in the acceptance suite.
         parser = cli.build_parser()

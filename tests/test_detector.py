@@ -1,19 +1,20 @@
 """Streaming detector tests: configuration, training, the residual memory,
-single-step scoring, value replacement, and series scoring."""
+single-step scoring, value replacement, series scoring, and the module
+functions that every caller looks up when it calls them."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.fft import dct
 
-from rpe import detector, projection
+from rpe import cli, detector, projection
 from rpe.detector import (
     DetectorConfig,
     DetectorState,
     ResidualMemory,
     ScoreRecord,
-    score_series,
     step,
     train,
     warm_start,
@@ -24,6 +25,7 @@ from rpe.errors import (
     RankDeficient,
     SeriesTooShort,
 )
+from rpe.evaluation import TABLE_SCENARIOS, method_scores, scenario_run_series
 from rpe.subspace import SubspaceModel
 from rpe.synth import (
     AnomalySpec,
@@ -32,7 +34,7 @@ from rpe.synth import (
     generate_clean,
     inject_anomalies,
 )
-from rpe.trajectory import TimeSeries
+from rpe.trajectory import TimeSeries, write_csv
 
 
 def series(values) -> TimeSeries:
@@ -452,7 +454,7 @@ class TestTwoAnomalyStream:
 
     def score(self, clean, stream, **kw):
         st = train(series(clean.values[:150]), **kw)
-        recs = score_series(st, stream.tolist())
+        recs = [st.step(v) for v in stream.tolist()]
         return st, {r.index: r for r in recs}
 
     def test_both_anomalies_flagged_and_neighbours_clean(self, run):
@@ -537,7 +539,7 @@ class TestDowndateAgreement:
         def scores(values):
             st = train(series(values[:300]))
             return zip(*[(r.residual, r.cdf_score, r.flagged)
-                         for r in score_series(st, values[300:])])
+                         for r in map(st.step, values[300:].tolist())])
 
         for seed in (0, 1, 5, 7):
             clean = generate_clean(SynthSpec(length=5300, seed=seed))
@@ -557,16 +559,17 @@ class TestDowndateAgreement:
 
 class TestScoreSeries:
     def test_empty_series_is_a_no_op(self):
+        # A state that scores nothing holds what training gave it: the kept
+        # values, one magnitude per replayed window, and no steps.
         st = train(generate_clean(SynthSpec(length=150, seed=2)))
-        before = (len(st.memory), len(st.history), st.samples_seen, st.counter)
-        assert score_series(st, []) == []
-        assert (len(st.memory), len(st.history), st.samples_seen, st.counter) == before
+        assert [st.step(v) for v in []] == []
+        assert (len(st.memory), len(st.history), st.samples_seen, st.counter) == (121, 150, 150, 0)
 
     def test_strict_threshold_gives_zero_flags_on_clean_data(self):
         clean = generate_clean(SynthSpec(length=300, seed=16))
         cfg = DetectorConfig(cdf_threshold=0.999)
         st = train(series(clean.values[:150]), config=cfg)
-        recs = score_series(st, clean.values[150:].tolist())
+        recs = [st.step(v) for v in clean.values[150:].tolist()]
         assert sum(r.flagged for r in recs) == 0
         assert [r.index for r in recs] == list(range(150, 300))
 
@@ -577,14 +580,71 @@ class TestScoreSeries:
             st = train(series(clean.values[:150]))
             return [
                 (r.index, r.residual, r.cdf_score, r.flagged, r.replaced_value)
-                for r in score_series(st, clean.values[150:].tolist())
+                for r in map(st.step, clean.values[150:].tolist())
             ]
 
         assert once() == once()
 
     def test_accepts_time_series_input(self):
+        # train takes a TimeSeries, and step takes its numpy scalars as they
+        # are: the records equal those of the same values as Python floats.
         clean = generate_clean(SynthSpec(length=200, seed=5))
-        st = train(series(clean.values[:150]))
-        recs = score_series(st, series(clean.values[150:]))
+        scalars, floats = (train(series(clean.values[:150])) for _ in range(2))
+        recs = [scalars.step(v) for v in series(clean.values[150:]).values]
         assert len(recs) == 50
         assert all(isinstance(r, ScoreRecord) for r in recs)
+        assert recs == [floats.step(v) for v in clean.values[150:].tolist()]
+
+
+@pytest.fixture()
+def entry_point_calls(monkeypatch):
+    """Counts of the calls made through detector.step, train and warm_start.
+
+    Each is wrapped on the module, where the benchmark's step clock and
+    tracer put their wrappers, so a caller that bound a function early
+    (an import by name, a table, a partial) would go uncounted.
+    """
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(detector, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("step", "train", "warm_start"):
+        monkeypatch.setattr(detector, name, counted(name))
+    return calls
+
+
+class TestEntryPointLookups:
+    def test_method_scores_trains_and_steps_through_the_module(self, entry_point_calls):
+        labelled = scenario_run_series(TABLE_SCENARIOS["table1"], 101)
+        scores, _ = method_scores(labelled, 100, ("rpe", "spe", "iid", "ar"))
+        # iid and ar keep their own state; rpe and spe each train once and
+        # step every post-training stamp.
+        assert dict(entry_point_calls) == {"train": 2, "step": 2 * 200}
+        assert all(v.size == 200 for v in scores.values())
+
+    @pytest.mark.parametrize("start", ["warm", "cold"])
+    @pytest.mark.parametrize("method", ["rpe", "spe"])
+    def test_cli_detect_warm_starts_and_steps_through_the_module(
+            self, entry_point_calls, tmp_path, method, start):
+        clean = generate_clean(SynthSpec(length=250, seed=4))
+        write_csv(tmp_path / "train.csv", series(clean.values[:150]))
+        write_csv(tmp_path / "input.csv", series(clean.values[150:]))
+        model = tmp_path / "model.json"
+        assert cli.main(["train", "--input", str(tmp_path / "train.csv"),
+                         "--output", str(model)]) == 0
+        assert dict(entry_point_calls) == {"train": 1}
+        entry_point_calls.clear()
+        seed = ["--train", str(tmp_path / "train.csv")] if start == "warm" else []
+        assert cli.main(["detect", "--method", method, "--model", str(model), *seed,
+                         "--input", str(tmp_path / "input.csv"),
+                         "--output", str(tmp_path / "scores.csv")]) == 0
+        # A cold start seeds with the input's first M1 = 30 values.
+        steps = 100 if start == "warm" else 100 - 30
+        assert dict(entry_point_calls) == {"warm_start": 1, "step": steps}
