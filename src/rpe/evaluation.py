@@ -187,16 +187,19 @@ def score_runs(name: str, runs, train_len: int, methods=DEFAULT_METHODS,
     """Average per-run best-F1 points over labelled series.
 
     runs is an iterable of labelled series, each scored by method_scores as
-    it is drawn; n_runs is the number scored. An empty methods list or an
-    unknown method raises ValueError before any run. curve_sink, when given, is
-    called as curve_sink(method, run_index, curve) with the full
-    precision/recall curve of each run.
+    it is drawn; n_runs is the number scored. An empty methods list, an
+    unknown method or one listed twice raises ValueError before any run, and
+    so does an empty runs once it is drawn. curve_sink, when given, is called
+    as curve_sink(method, run_index, curve) with the full precision/recall
+    curve of each run.
     """
     if not methods:
         raise ValueError(f"methods must name at least one of {', '.join(DEFAULT_METHODS)}")
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in DEFAULT_METHODS:
             raise ValueError(f"unknown method {method!r}")
+        if method in methods[:i]:
+            raise ValueError(f"method {method!r} is listed twice")
     points: dict[str, list[PrCurvePoint]] = {m: [] for m in methods}
     n_runs = 0
     for run_index, series in enumerate(runs):
@@ -206,6 +209,8 @@ def score_runs(name: str, runs, train_len: int, methods=DEFAULT_METHODS,
             if curve_sink is not None:
                 curve_sink(method, run_index, pr_curve(s, labels))
         n_runs += 1
+    if n_runs == 0:
+        raise ValueError("runs is empty, so no run was scored")
     return BenchmarkReport(
         scenario=name,
         n_runs=n_runs,

@@ -356,11 +356,14 @@ class TestBench:
         ({"name": "x", "n_runs": 1, "methods": ["iid", "median"]}, "unknown method 'median'"),
         ({"kind": "Csv", "path": str(DATA / "sample_labeled.csv")},
          'scenario kind must be "csv" or absent, got \'Csv\''),
-    ], ids=["no-runs", "no-methods", "csv-no-methods", "unknown-method", "misspelt-kind"])
+        ({"name": "x", "n_runs": 1, "methods": ["rpe", "rpe"]}, "method 'rpe' is listed twice"),
+    ], ids=["no-runs", "no-methods", "csv-no-methods", "unknown-method", "misspelt-kind",
+            "duplicate-method"])
     def test_scenario_that_scores_nothing_is_rejected(self, tmp_path, capsys, payload, problem):
         # Each of these once exited 0: n_runs 0 wrote a NaN mean F1, an empty
-        # method list wrote an empty report, and a kind other than "csv" ran
-        # as a synthetic scenario.
+        # method list wrote an empty report, a kind other than "csv" ran as a
+        # synthetic scenario, and a method listed twice was streamed twice per
+        # run but reported once.
         scenario = write_json(tmp_path / "scenario.json", payload)
         code = cli.main(["bench", "--scenario", scenario, "--out", str(tmp_path / "r.json")])
         assert code == 2

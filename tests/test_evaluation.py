@@ -202,6 +202,20 @@ class TestRunLabeledSeries:
         # The robust detector separates these labelled anomalies perfectly.
         assert report.methods["rpe"].mean_f1 == 1.0
 
+    def test_no_runs_is_rejected(self):
+        # An empty runs once gave n_runs 0 and a NaN mean F1, which
+        # write_report turned into invalid JSON.
+        with pytest.raises(ValueError, match="no run was scored"):
+            score_runs("x", [], 100, ("iid",))
+
+    def test_method_listed_twice_is_rejected_before_any_run(self):
+        def runs():
+            raise AssertionError("a run was drawn")
+            yield
+
+        with pytest.raises(ValueError, match="method 'iid' is listed twice"):
+            score_runs("x", runs(), 100, ("iid", "ar", "iid"))
+
 
 class TestReportSerialization:
     def test_round_trip_through_json(self, tmp_path):

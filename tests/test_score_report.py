@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -64,7 +66,24 @@ def test_empty_tables_is_a_usage_error():
     # An empty --tables would silently run no table; "none" is the one way to
     # ask for that.
     cmd = [sys.executable, str(ROOT / "tools" / "score_report.py"), str(ROOT),
-           "--seeds", "--tables"]
+           "--seeds", "none", "--tables"]
     result = subprocess.run(cmd, capture_output=True, text=True)
     assert result.returncode == 2
     assert "--tables" in result.stderr
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--seeds", "--tables", "none"], "--seeds"),
+    (["--seeds", "0", "none"], "--seeds"),
+    (["--steps", "0"], "--steps"),
+    (["--steps", "-5"], "--steps"),
+    (["--tables", "table5"], "--tables"),
+], ids=["empty-seeds", "seeds-and-none", "zero-steps", "negative-steps", "unknown-table"])
+def test_bad_option_is_a_usage_error(args, option):
+    # An empty --seeds once printed only the projection line and exited 0, so
+    # two trees read the same; --steps -5 trained on 295 stamps and exited 0.
+    cmd = [sys.executable, str(ROOT / "tools" / "score_report.py"), str(ROOT), *args]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert option in result.stderr
+    assert result.stdout == ""

@@ -4,34 +4,33 @@
     python3 tools/score_report.py <checkout> --seeds 101 102 --steps 20000 --tables none
 
 The report runs in a fresh interpreter with one BLAS thread, importing `rpe`
-from `<checkout>/src` and the stream inputs from `<checkout>/bench/inputs.py`.
-For each seed it streams the benchmark's `stream-long` series: the default
-detector trained on 300 clean stamps, then `--steps` stamps with 1 % point
-anomalies. A step that raises is recorded with its position and exception
-type, scores -inf, and the detector is retrained on the last 300 raw stamps,
-as the benchmark does. Per seed it prints the SHA-256 of `abs_residual` (with
--inf at failed steps), its largest finite value, the RuntimeWarnings raised,
-the robust projections made and how many of them went to the QR solve of the
-kept rows, and the failed steps. Then it streams the benchmark's
-`stream-fleet` series of the seed: series S + i for i in 0-7, each trained on
-150 clean stamps with the estimator simple, elementwise or columnwise (i mod
-3), then min(`--steps`, 5 000) stamps, each series on its own, with the same
-restart on a failed step. It prints the SHA-256 of the 8 `abs_residual`
-vectors, the refits (steps after which the state holds a new model), the
-RuntimeWarnings, the projections, the QR solves and the failed steps, as
-`series.step`. Unlike the `stream-long` series, these refit, at step 100.
-Then it runs the README's CLI workflow on the seed's `cli-workflow` inputs
-(2 000 training stamps, then min(`--steps`, 20 000) scored stamps, the config
-of CLI_CONFIG): train, coherence, detect warm and cold, spe, rpe with
-n_s = 0, ar and iid, and the two usage errors of detect. Each command prints one line: its exit code and
-the SHA-256 of its stdout, its stderr and every file it writes (commands run
-in a scratch directory with relative paths, so the bytes do not depend on
-where it lies). Then, for every table named by `--tables` (default table1-4;
-`none` runs no table), it prints each method's mean F1 in `rpe bench`, the QR
-solves of the table, and the SHA-256 of its per-run PR curve CSVs
-(`--emit-curves`), each file's name and bytes in sorted name order, so a bit
-changed in any run's scores shows even where the mean F1 hides it. Every
-float is printed with repr, so any change of a bit shows in the diff.
+from `<checkout>/src` and the benchmark's workloads from
+`<checkout>/bench/workloads.py`, which define every input, size and stream
+loop used here. The size is the benchmark's `full` one, except that
+`stream-long` scores `--steps` stamps (at least 1; default its own) and
+`stream-fleet` and `cli-workflow` score at most that many. `--seeds` and
+`--tables` each take one or more values, or `none` to skip them.
+
+For each seed it runs one pass of `stream-long` and prints the SHA-256 of
+`abs_residual` (with -inf at failed steps), its largest finite value, the
+RuntimeWarnings raised, the robust projections made and how many of them went
+to the QR solve of the kept rows, and the failed steps: their total, then the
+ones the benchmark keeps, as `step:type`. Then one pass of `stream-fleet`
+prints the same for all its series, plus the refits (steps after which the
+state holds a new model), with the failed steps as `series.step:type`. A pass
+whose records fail the benchmark's own checks prints them on stderr, and the
+report exits 1. Then it runs the README's CLI workflow on the seed's
+`cli-workflow` files: train, coherence, detect warm and cold, spe, rpe with
+n_s = 0, ar and iid, and the two usage errors of detect. Each command prints
+one line: its exit code and the SHA-256 of its stdout, its stderr and every
+file it writes (commands run in a scratch directory with relative paths, so
+the bytes do not depend on where it lies). Then, for every table named by
+`--tables` (default the benchmark's full tables), it prints each method's
+mean F1 in `rpe bench`, the QR solves of the table, and the SHA-256 of its
+per-run PR curve CSVs (`--emit-curves`), each file's name and bytes in sorted
+name order, so a bit changed in any run's scores shows even where the mean F1
+hides it. Every float is printed with repr, so any change of a bit shows in
+the diff.
 
 The first line checks the public `rpe.projection.robust_projection` on its
 own. It calls it on fixed seeded windows: M1 of 5, 10, 30 and 60, ranks 1, 3
@@ -55,19 +54,9 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 from collections import Counter
 from pathlib import Path
 
-TRAIN_LEN = 300  # stream-long's training stamps, also the restart window
-ANOMALY_SHARE = 0.01
-FLEET_SERIES = 8  # stream-fleet's series, seeds S to S + 7
-FLEET_TRAIN_LEN = 150  # stream-fleet's training stamps
-FLEET_MAX_STEPS = 5_000  # stream-fleet's scored stamps
-FLEET_ESTIMATORS = ("simple", "elementwise", "columnwise")  # series i gets i mod 3
-CLI_TRAIN_LEN = 2_000  # cli-workflow's training stamps
-CLI_MAX_STEPS = 20_000  # cli-workflow's scored stamps
-CLI_CONFIG = {"estimator": "columnwise", "memory_cap": 200}
 _DETECT = ["detect", "--input", "series.csv", "--config", "config.json"]
 CLI_COMMANDS = {
     "train": ["train", "--input", "train.csv", "--config", "config.json",
@@ -85,28 +74,51 @@ CLI_COMMANDS = {
     "error_no_model": _DETECT + ["--output", "no_model.csv"],
     "error_no_train": _DETECT + ["--method", "ar", "--output", "no_train.csv"],
 }
-TABLES = ("table1", "table2", "table3", "table4")
 PROJECTION_M1 = (5, 10, 30, 60)
 PROJECTION_REPEATS = 20  # windows per (M1, rank, n_s)
 PROJECTION_FIELDS = ("a_hat", "kept_rows", "residual", "prelim_residual")
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def seed_or_none(text: str):
+    return text if text == "none" else int(text)
+
+
 def parse_args(argv):
+    """Parse argv and put `<checkout>/src` and `<checkout>/bench` on sys.path,
+    so the defaults and the table names are the checkout's benchmark's own."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="root of the rpe checkout to score")
-    parser.add_argument("--seeds", type=int, nargs="*", default=list(range(10)),
-                        help="stream-long seeds (default 0-9; none: skip)")
-    parser.add_argument("--steps", type=int, default=100_000,
-                        help="stamps streamed per seed (default 100000)")
-    parser.add_argument("--tables", nargs="+", default=list(TABLES), choices=TABLES + ("none",),
-                        help="rpe bench scenarios to report (default all four; none: skip)")
+    parser.add_argument("--seeds", type=seed_or_none, nargs="+", default=list(range(10)),
+                        help="stream seeds (default 0-9; none: skip)")
+    parser.add_argument("--steps", type=int,
+                        help="stream-long stamps per seed, at least 1 (default the benchmark's)")
+    parser.add_argument("--tables", nargs="+",
+                        help="rpe bench scenarios to report (default the benchmark's; none: skip)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if "none" in args.tables:
-        if len(args.tables) > 1:
-            parser.error("--tables none takes no table names")
-        args.tables = []
+    checkout = Path(args.checkout).resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    from workloads import SIZES
+
+    full = SIZES["full"]
+    args.steps = full["long_steps"] if args.steps is None else args.steps
+    if args.steps < 1:
+        parser.error(f"--steps must be at least 1, got {args.steps}")
+    args.tables = list(full["tables"]) if args.tables is None else args.tables
+    unknown = set(args.tables) - {*full["tables"], "none"}
+    if unknown:
+        parser.error(f"--tables: unknown {' '.join(sorted(unknown))}"
+                     f" (choose from {' '.join(full['tables'])} or none)")
+    for name in ("seeds", "tables"):
+        values = getattr(args, name)
+        if "none" in values:
+            if len(values) > 1:
+                parser.error(f"--{name} none takes no other values")
+            setattr(args, name, [])
+    args.size = {**full, "long_steps": args.steps,
+                 "fleet_steps": min(args.steps, full["fleet_steps"]),
+                 "cli_steps": min(args.steps, full["cli_steps"])}
     return args
 
 
@@ -124,12 +136,11 @@ def main(argv=None) -> int:
 
 def report(args) -> int:
     checkout = Path(args.checkout).resolve()
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     import numpy as np
 
-    import inputs
     import rpe
     import rpe.cli
+    import workloads
     from rpe import detector, projection
 
     if not Path(rpe.__file__).resolve().is_relative_to(checkout):
@@ -151,20 +162,25 @@ def report(args) -> int:
 
     projection_report(np, projection, counts)
 
+    failed_checks = False
     for seed in args.seeds:
-        counts.clear()
-        values, _ = inputs.make_series(seed, TRAIN_LEN + args.steps, TRAIN_LEN, ANOMALY_SHARE)
-        with counted_runtime_warnings() as caught:
-            abs_residual, failures, _ = stream_series(
-                np, detector, values[:TRAIN_LEN], values[TRAIN_LEN:], detector.DetectorConfig())
-        finite = abs_residual[np.isfinite(abs_residual)]
-        print(f"stream-long seed {seed}: sha256 {inputs.digest(abs_residual)}"
-              f" max_abs_residual {float(finite.max()) if finite.size else None!r}"
-              f" runtime_warnings {sum(caught.values())}"
-              f" projections {counts['projections']} qr_solves {counts['qr_solves']}"
-              f" failed {len(failures)} at [{' '.join(failures)}]")
-        fleet_report(seed, min(args.steps, FLEET_MAX_STEPS), np, detector, inputs, counts)
-        cli_report(seed, min(args.steps, CLI_MAX_STEPS), rpe.cli, inputs)
+        for name in ("stream-long", "stream-fleet"):
+            result = stream_pass(rpe, workloads, name, seed, args.size, counts)
+            fleet = name == "stream-fleet"
+            kept = sorted((f["at"]["feed"], f["at"]["step"], f["type"]) for f in result.failures)
+            at = " ".join(f"{k}.{i}:{kind}" if fleet else f"{i}:{kind}" for k, i, kind in kept)
+            if fleet:
+                measures = f"refits {counts['refits']}"
+            else:
+                measures = f"max_abs_residual {result.detail['series'][0]['max_abs_residual']!r}"
+            print(f"{name} seed {seed}: sha256 {result.outputs} {measures}"
+                  f" runtime_warnings {counts['runtime_warnings']}"
+                  f" projections {counts['projections']} qr_solves {counts['qr_solves']}"
+                  f" failed {result.failed} at [{at}]")
+            for error in result.errors:
+                print(f"{name} seed {seed}: {error}", file=sys.stderr)
+            failed_checks |= bool(result.errors)
+        cli_report(seed, args.size, rpe.cli, workloads)
 
     for table in args.tables:
         counts.clear()
@@ -179,52 +195,31 @@ def report(args) -> int:
                 curve_digest.update(path.name.encode() + b"\n" + path.read_bytes())
         print(f"bench {table}: " + " ".join(f"{m}={s['mean_f1']!r}" for m, s in methods.items())
               + f" qr_solves {counts['qr_solves']} curves_sha256 {curve_digest.hexdigest()}")
-    return 0
+    return 1 if failed_checks else 0
 
 
-def stream_series(np, detector, train, stream, config):
-    """Train on train, then step through stream as the benchmark does.
-
-    Returns abs_residual (-inf at a failed step), the failed steps as
-    "step:exception type", and the refits: the steps after which the state
-    holds a new model. A failed step retrains on the last TRAIN_LEN raw
-    stamps.
-    """
-    abs_residual = np.full(stream.size, -np.inf)
-    failures, refits = [], 0
-    state = detector.train(train, config)
-    for i, value in enumerate(stream.tolist()):
-        model = state.model
-        try:
-            abs_residual[i] = detector.step(state, value).abs_residual
-        except Exception as exc:  # a failed step is reported, not fatal
-            failures.append(f"{i}:{type(exc).__name__}")
-            recent = np.concatenate([train, stream[: i + 1]])[-TRAIN_LEN:]
-            state = detector.train(recent, config)
-            continue
-        refits += state.model is not model
-    return abs_residual, failures, refits
-
-
-def fleet_report(seed: int, steps: int, np, detector, inputs, counts) -> None:
-    """Stream the seed's stream-fleet series one after another and print one
-    digest line."""
+def stream_pass(rpe, workloads, name: str, seed: int, size: dict, counts):
+    """One pass of the named stream workload, set-up included, as the benchmark
+    runs it. Refits and RuntimeWarnings go into counts with the projections."""
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.inputs(seed, size)
     counts.clear()
-    residuals, failures, refits = [], [], 0
-    with counted_runtime_warnings() as caught:
-        for i in range(FLEET_SERIES):
-            values, _ = inputs.make_series(seed + i, FLEET_TRAIN_LEN + steps, FLEET_TRAIN_LEN,
-                                           ANOMALY_SHARE)
-            config = detector.DetectorConfig(estimator=FLEET_ESTIMATORS[i % len(FLEET_ESTIMATORS)])
-            abs_residual, failed, refitted = stream_series(
-                np, detector, values[:FLEET_TRAIN_LEN], values[FLEET_TRAIN_LEN:], config)
-            residuals.append(abs_residual)
-            failures += [f"{i}.{step}" for step in failed]
-            refits += refitted
-    print(f"stream-fleet seed {seed}: sha256 {inputs.digest(*residuals)} refits {refits}"
-          f" runtime_warnings {sum(caught.values())}"
-          f" projections {counts['projections']} qr_solves {counts['qr_solves']}"
-          f" failed {len(failures)} at [{' '.join(failures)}]")
+    step = rpe.detector.step
+
+    def counted_step(state, value):
+        model = state.model
+        record = step(state, value)
+        counts["refits"] += state.model is not model
+        return record
+
+    rpe.detector.step = counted_step
+    try:
+        with workloads.counted_runtime_warnings() as caught:
+            result = workload.run_pass(rpe, inputs, workload.setup(rpe, inputs), None)
+    finally:
+        rpe.detector.step = step
+    counts["runtime_warnings"] = sum(caught.values())
+    return result
 
 
 def projection_report(np, projection, counts) -> None:
@@ -283,17 +278,16 @@ def projection_window(np, rng, m1: int, rank: int, n_s: int):
     return u, x
 
 
-def cli_report(seed: int, steps: int, cli, inputs) -> None:
-    """Run CLI_COMMANDS in a scratch directory and print one digest line each."""
-    values, labels = inputs.make_series(seed, CLI_TRAIN_LEN + steps, CLI_TRAIN_LEN, ANOMALY_SHARE)
+def cli_report(seed: int, size: dict, cli, workloads) -> None:
+    """Run CLI_COMMANDS on the seed's cli-workflow files in a scratch directory
+    and print one digest line each."""
+    workflow = workloads.WORKLOADS["cli-workflow"]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            inputs.write_series_csv("train.csv", values[:CLI_TRAIN_LEN], labels[:CLI_TRAIN_LEN])
-            inputs.write_series_csv("series.csv", values[CLI_TRAIN_LEN:], labels[CLI_TRAIN_LEN:])
-            Path("config.json").write_text(json.dumps(CLI_CONFIG))
-            Path("n_s0.json").write_text(json.dumps({**CLI_CONFIG, "n_s": 0}))
+            workflow.write_files(workflow.inputs(seed, size), Path())
+            Path("n_s0.json").write_text(json.dumps({**workloads.CLI_CONFIG, "n_s": 0}))
             for name, argv in CLI_COMMANDS.items():
                 before = file_digests()
                 out, err = io.StringIO(), io.StringIO()
@@ -315,24 +309,6 @@ def file_digests() -> dict[str, str]:
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-@contextlib.contextmanager
-def counted_runtime_warnings():
-    """Count RuntimeWarnings (numpy overflow and the like) instead of printing them."""
-    caught = Counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", RuntimeWarning)
-        shown = warnings.showwarning
-
-        def show(message, category, filename, lineno, file=None, line=None):
-            if issubclass(category, RuntimeWarning):
-                caught[str(message)[:100]] += 1
-            else:
-                shown(message, category, filename, lineno, file, line)
-
-        warnings.showwarning = show
-        yield caught
 
 
 if __name__ == "__main__":
