@@ -86,7 +86,10 @@ def gamma_estimate(U: np.ndarray, n_starts: int = 64, seed: int = 0) -> float:
     Multi-start projected subgradient descent; deterministic for a given
     seed because starts are explored sequentially and reduced with min.
     For a single column the sphere is just {-1, +1} and the value is exact.
+    n_starts below 1 raises ValueError before any work.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     U = check_orthonormal(U)
     if U.shape[1] == 1:
         return float(1.0 / np.abs(U[:, 0]).sum())

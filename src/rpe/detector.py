@@ -28,10 +28,11 @@ step.
 
 The history is a float64 buffer holding the last t_max stored values, so the
 newest window is a slice of it and the history does not grow with the stream.
-The residual memory is a sorted multiset with O(log n) insert and rank, and
-it persists across re-fits. Scores compare a residual with the past, so they
-are meaningful immediately after training and invariant to the residual
-scale.
+The residual memory is a sorted float64 array with short sorted lists of
+the appends and evictions not yet merged into it, so a rank is three binary
+searches at any length; it persists across re-fits. Scores compare a
+residual with the past, so they are meaningful immediately after training
+and invariant to the residual scale.
 
 A step does no work whose result it drops. The model is checked against the
 config once, when a state gets it (the config is frozen, and a refit keeps
@@ -46,12 +47,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from sortedcontainers import SortedList
 
 from .errors import BadBudget, NonFiniteValue, SeriesTooShort
 from .projection import robust_coefficients as robust_projection
@@ -109,16 +110,30 @@ class DetectorConfig:
         return min(DEFAULT_RANK_CAP, self.M1 - self.n_s)
 
 
+# Fewest pending values at which ResidualMemory merges (see its docstring).
+MERGE_MIN = 1024
+
+
 class ResidualMemory:
     """Multiset of past residual magnitudes with strict-less empirical CDF.
 
-    A sorted list of blocks (sortedcontainers.SortedList) makes insert, rank
-    and eviction O(log n); a deque keeps the insertion order for eviction.
-    A NaN magnitude counts in the length but is below no value.
+    A log-structured merge on one sorted float64 array: the array holds the
+    merged values, a short sorted list the values appended since the last
+    merge, and another the evicted values that are still in the array (an
+    evicted value still in the appended list leaves that list instead). A
+    rank is one bisect of each list and one searchsorted of the array. When
+    the lists together pass max(MERGE_MIN, 8 * isqrt(array size)) values, one
+    np.delete and one np.insert fold them into the array, so the amortised
+    cost of an append stays about flat as the memory grows. A deque keeps
+    the insertion order for eviction. A NaN magnitude counts in the length
+    but is below no value, and a NaN probe ranks 0.
     """
 
     def __init__(self, cap: int | None = None):
-        self._sorted = SortedList()
+        self._merged = np.empty(0)
+        self._added: list[float] = []
+        self._evicted: list[float] = []
+        self._merge_at = MERGE_MIN
         self._order: deque[float] = deque()
         self._cap = cap
 
@@ -126,17 +141,47 @@ class ResidualMemory:
         value = float(value)
         self._order.append(value)
         if value == value:  # a NaN is below nothing, so it stays out of the ranks
-            self._sorted.add(value)
+            insort(self._added, value)
         if self._cap is not None and len(self._order) > self._cap:
             oldest = self._order.popleft()
             if oldest == oldest:
-                self._sorted.remove(oldest)
+                added = self._added
+                i = bisect_left(added, oldest)
+                if i < len(added) and added[i] == oldest:
+                    del added[i]
+                else:
+                    insort(self._evicted, oldest)
+        if len(self._added) + len(self._evicted) > self._merge_at:
+            self._merge()
+
+    def _merge(self) -> None:
+        """Fold both lists into the sorted array and empty them."""
+        merged = self._merged
+        if self._evicted:
+            evicted = np.array(self._evicted)
+            # Each evicted value is in the array; the k-th of a run of equal
+            # values deletes the k-th equal entry.
+            first = evicted.searchsorted(evicted)
+            rank = np.arange(evicted.size) - first
+            merged = np.delete(merged, merged.searchsorted(evicted) + rank)
+        if self._added:
+            added = np.array(self._added)
+            merged = np.insert(merged, merged.searchsorted(added), added)
+        self._merged = merged
+        self._added, self._evicted = [], []
+        self._merge_at = max(MERGE_MIN, 8 * math.isqrt(merged.size))
 
     def cdf(self, value: float) -> float:
         """Fraction of remembered magnitudes strictly below value."""
         if not self._order:
             return 0.0
-        return self._sorted.bisect_left(float(value)) / len(self._order)
+        value = float(value)
+        if value != value:  # a bisect ranks a NaN 0; searchsorted ranks it last
+            return 0.0
+        below = bisect_left(self._added, value)
+        if self._merged.size:  # a memory that never merged skips searchsorted's dispatch
+            below += int(self._merged.searchsorted(value)) - bisect_left(self._evicted, value)
+        return below / len(self._order)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -252,11 +297,11 @@ def _seeded_state(model: SubspaceModel, values: np.ndarray,
     )
     windows = build_trajectory(state.history, config.M1)
     U, n_s = model.U, config.n_s
-    u_last = U[-1, :]
+    u_last = U[-1]
     for j in range(windows.shape[1]):
         window = windows[:, j]
         a_hat = robust_projection(U, window, n_s)
-        state.memory.append(abs(window[-1] - float(a_hat @ u_last)))
+        state.memory.append(abs(window[-1] - float(a_hat.dot(u_last))))
     return state
 
 
@@ -309,7 +354,7 @@ def step(state: DetectorState, value: float) -> ScoreRecord:
 
     U = model.U
     a_hat = robust_projection(U, state._window(value), config.n_s)
-    reconstruction = float(a_hat @ U[-1, :])
+    reconstruction = float(a_hat.dot(U[-1]))
     residual = value - reconstruction
     magnitude = abs(residual)
 

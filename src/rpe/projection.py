@@ -115,10 +115,10 @@ def robust_projection(U: np.ndarray, x: np.ndarray, n_s: int) -> RobustProjectio
     bad = ~(np.isfinite(x) & np.isfinite(U).all(axis=1))
     if bad.any():
         raise NonFiniteValue(int(bad.argmax()), "non-finite window value or basis row")
-    a0 = U.T @ x
+    a0 = U.T.dot(x)
     prelim, order = _rank_rows(U, x, a0)
     a_hat = a0 if n_s == 0 else _exclude_and_solve(U, x, order, n_s)
-    return RobustProjectionResult(a_hat, np.sort(order[: m - n_s]), x - U @ a_hat, prelim)
+    return RobustProjectionResult(a_hat, np.sort(order[: m - n_s]), x - U.dot(a_hat), prelim)
 
 
 def robust_coefficients(U: np.ndarray, x: np.ndarray, n_s: int) -> np.ndarray:
@@ -128,7 +128,10 @@ def robust_coefficients(U: np.ndarray, x: np.ndarray, n_s: int) -> np.ndarray:
     0 <= n_s <= U.shape[0] - U.shape[1]. With n_s = 0 every row is kept, so
     a_hat is U^T x and the rows are not ranked.
     """
-    a0 = U.T @ x
+    # ndarray.dot, not @, for every product here and in the solve: on these
+    # small shapes both make the same BLAS call and give the same bits, but
+    # matmul's dispatch costs about twice as much per call.
+    a0 = U.T.dot(x)
     if n_s == 0:
         return a0  # full-row least squares on an orthonormal basis
     return _exclude_and_solve(U, x, _rank_rows(U, x, a0)[1], n_s)
@@ -147,7 +150,7 @@ def _exclude_and_solve(U: np.ndarray, x: np.ndarray, order: np.ndarray, n_s: int
 def _rank_rows(U: np.ndarray, x: np.ndarray, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The preliminary residual |x - U a0|, and the rows by ascending residual
     (a stable sort, so equal residuals keep ascending index)."""
-    prelim = x - U @ a0
+    prelim = x - U.dot(a0)
     np.abs(prelim, out=prelim)
     return prelim, prelim.argsort(kind="stable")
 
@@ -169,8 +172,8 @@ def _downdate_solve(U: np.ndarray, x: np.ndarray, excluded: np.ndarray) -> np.nd
     full rank.
     """
     x0 = x.copy()
-    x0[excluded] = 0.0
-    g = U.T @ x0
+    x0.put(excluded, 0.0)
+    g = U.T.dot(x0)
     # B^T is the F-ordered view of the C-ordered rows that the BLAS and
     # LAPACK wrappers read without a copy.
     b_t = U.take(excluded, axis=0).T
@@ -178,7 +181,7 @@ def _downdate_solve(U: np.ndarray, x: np.ndarray, excluded: np.ndarray) -> np.nd
     # beta, c, trans, lower; dposv's lower, overwrite_a, overwrite_b; dgemv's
     # beta, y, offx, incx, offy, incy, trans, overwrite_y.
     s = dsyrk(-1.0, b_t, 1.0, _identity(excluded.size), 1, 1)
-    chol, w, info = dposv(s, g @ b_t, 1, 1, 1)
+    chol, w, info = dposv(s, g.dot(b_t), 1, 1, 1)
     if info != 0 or not math.prod(chol.diagonal().tolist()) ** 2 >= DOWNDATE_FLOOR:
         return None
     a_hat = dgemv(1.0, b_t, w, 1.0, g, 0, 1, 0, 1, 0, 1)

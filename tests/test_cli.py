@@ -275,6 +275,12 @@ class TestCoherence:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mu_squared"] == mu_squared(load_model(model).U)
 
+    def test_no_start_is_a_usage_error(self, series_csv, capsys):
+        assert cli.main(["coherence", "--input", str(series_csv), "--n-starts", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_starts" in captured.err
+
 
 class TestBench:
     def test_custom_synthetic_scenario(self, tmp_path, capsys):

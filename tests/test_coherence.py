@@ -107,6 +107,14 @@ class TestGamma:
         b = gamma_estimate(u, n_starts=8, seed=11)
         assert a == b
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_no_start_is_rejected(self, n_starts):
+        # No descent would run, and 1 / inf would report a gamma of 0.
+        with pytest.raises(ValueError, match="n_starts"):
+            gamma_estimate(dct_frame(15, (2, 5)), n_starts=n_starts)
+        with pytest.raises(ValueError, match="n_starts"):
+            coherence_report(dct_frame(15, (2, 5)), n_starts=n_starts)
+
 
 class TestKappa:
     def test_standard_basis_vector(self):

@@ -145,6 +145,23 @@ class TestResidualMemory:
         assert m.cdf(4.5) == 1.0  # the evicted 5.0 no longer counts
         assert len(m) == 3
 
+    @pytest.mark.parametrize("cap", [None, 1500])
+    def test_ranks_stay_exact_across_merges(self, cap):
+        # 3 000 tied values, then 3 000 distinct ones, pass the merge size
+        # several times. With the cap, the tied values are evicted after they
+        # were merged and while no equal value is pending, ties among them.
+        rng = np.random.default_rng(4)
+        tied = rng.choice([0.0, 0.5, 1.0, 2.0, np.inf, np.nan], 3000)
+        values = np.concatenate([tied, rng.exponential(size=3000)]).tolist()
+        m = ResidualMemory(cap=cap)
+        for n, v in enumerate(values, start=1):
+            m.append(v)
+            if n % 250 == 0:
+                kept = np.array(values[:n][-cap:] if cap else values[:n])
+                assert len(m) == kept.size
+                for q in (-1.0, 0.0, 0.5, 0.75, 2.0, 3.0, np.inf, np.nan):
+                    assert m.cdf(q) == np.count_nonzero(kept < q) / kept.size
+
 
 class TestTrain:
     def test_synthetic_defaults(self):

@@ -17,6 +17,7 @@ from reference import (
     DidNotConverge,
     kept_row_solve_reference,
     l1_projection_oracle,
+    robust_coefficients_reference,
     simple_projection,
 )
 from rpe import projection
@@ -306,6 +307,28 @@ class TestRobustProjection:
                         _kept_row_solve(u, x, result.kept_rows),
                         kept_row_solve_reference(u, x, result.kept_rows),
                     )
+
+    @pytest.mark.parametrize("floor", [DOWNDATE_FLOOR, np.inf], ids=["downdate", "qr"])
+    def test_core_matches_the_matmul_reference_bit_for_bit(self, monkeypatch, floor):
+        # The core computes its products with ndarray.dot; the reference
+        # computes them with @ and zeroes the excluded rows by index
+        # assignment. The bits must not differ, spikes up to 1e12 included.
+        monkeypatch.setattr(projection, "DOWNDATE_FLOOR", floor)
+        rng = np.random.default_rng(27)
+        for m1, rank in ((10, 1), (10, 3), (30, 10), (60, 4), (60, 10)):
+            u, _ = np.linalg.qr(rng.standard_normal((m1, rank)))
+            for n_s in range(m1 - rank + 1):
+                for _ in range(3):
+                    x = u @ rng.standard_normal(rank) + 0.05 * rng.standard_normal(m1)
+                    spikes = min(n_s, 5) + int(rng.integers(0, 2))
+                    rows = rng.choice(m1, spikes, replace=False)
+                    x[rows] += rng.choice([-1.0, 1.0], spikes) * 10.0 ** rng.uniform(0, 12, spikes)
+                    expected = robust_coefficients_reference(u, x, n_s)
+                    np.testing.assert_array_equal(
+                        projection.robust_coefficients(u, x, n_s), expected)
+                    result = robust_projection(u, x, n_s)
+                    np.testing.assert_array_equal(result.a_hat, expected)
+                    np.testing.assert_array_equal(result.residual, x - u @ expected)
 
     def test_result_is_an_immutable_tuple(self):
         u = dct_frame(10, (1, 4))

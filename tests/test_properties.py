@@ -148,13 +148,14 @@ magnitudes = st.sampled_from(
 )
 def test_residual_memory_cdf_is_exact(block, repeats, cap):
     # Repeating a block gives thousands of entries with many ties, enough to
-    # split the sorted list's internal blocks and to evict through them.
+    # fold the pending values into the sorted array more than once and to
+    # evict merged values; every 500th append checks the ranks mid-stream.
     appended = block * repeats
     memory = ResidualMemory(cap=cap)
     probes = list(set(block)) + [-1.0, 0.25, 3.0, float("inf")]
     for n, value in enumerate(appended, start=1):
         memory.append(value)
-        if n <= 2 * len(block) or n == len(appended):
+        if n <= 2 * len(block) or n % 500 == 0 or n == len(appended):
             kept = appended[:n][-cap:] if cap else appended[:n]
             assert memory.values() == tuple(kept)
             assert len(memory) == len(kept)
