@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--model", help="model JSON (required for rpe/spe)")
     p_detect.add_argument("--input", required=True, help="series CSV to score")
     p_detect.add_argument("--output", required=True, help="scores CSV path")
-    p_detect.add_argument("--method", choices=("rpe", "spe", "iid", "ar"), default="rpe")
+    p_detect.add_argument("--method", choices=DEFAULT_METHODS, default="rpe")
     p_detect.add_argument("--config", help="detector config JSON")
     p_detect.add_argument("--train", help="training CSV to seed history/memory")
     p_detect.set_defaults(func=_cmd_detect)

@@ -314,10 +314,6 @@ def train(t_train, config: DetectorConfig | None = None) -> DetectorState:
     """
     config = config if config is not None else DetectorConfig()
     values = series_values(t_train)
-    if values.size < 2 * config.M1:
-        raise SeriesTooShort(
-            f"training needs at least {2 * config.M1} samples, got {values.size}"
-        )
     return _seeded_state(fit_model(values, config), values, config)
 
 

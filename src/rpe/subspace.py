@@ -185,6 +185,8 @@ def model_to_dict(model: SubspaceModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> SubspaceModel:
+    if not isinstance(payload, dict):
+        raise ValueError(f"model payload must be a JSON object, got {type(payload).__name__}")
     version = payload.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")

@@ -94,8 +94,9 @@ def build_trajectory(t, window_size: int) -> np.ndarray:
     return matrix
 
 
-# CSV contract: one sample per row, columns timestamp,value[,label]; a header
-# row is tolerated and detected by a non-numeric value field.
+# CSV contract: one sample per row, columns timestamp,value[,label]; blank
+# rows are skipped, and a header on the first non-blank row is tolerated and
+# detected by a non-numeric value field.
 
 _TRUE_STRINGS = {"1", "true", "t", "yes"}
 _FALSE_STRINGS = {"0", "false", "f", "no", ""}
@@ -120,7 +121,7 @@ def read_csv(path, impute_median: bool = False) -> TimeSeries:
     timestamps: list[str] = []
     raw: list[float] = []
     labels: list[bool] = []
-    saw_label = False
+    saw_label = saw_header = False
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row_no, row in enumerate(reader):
@@ -129,11 +130,12 @@ def read_csv(path, impute_median: bool = False) -> TimeSeries:
             if len(row) < 2:
                 raise ValueError(f"row {row_no} has fewer than two columns")
             field = row[1].strip()
-            if row_no == 0 and field:
+            if not (raw or saw_header) and field:  # first non-blank row
                 try:
                     float(field)
                 except ValueError:
-                    continue  # header row
+                    saw_header = True
+                    continue
             index = len(raw)
             if not field:
                 value = np.nan

@@ -78,6 +78,11 @@ class TestSynth:
         assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
         assert "amplitude" in capsys.readouterr().err
 
+    def test_anomaly_block_that_is_no_object_fails(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {"length": 120, "anomalies": [0.04]})
+        assert cli.main(["synth", "--spec", spec, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: AnomalySpec needs a JSON object, got [0.04]" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model(self, tmp_path, series_csv, capsys):
@@ -101,6 +106,22 @@ class TestTrain:
                          "--config", cfg, "--output", str(tmp_path / "m.json")])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_config_that_is_no_object_rejected(self, tmp_path, series_csv, capsys):
+        cfg = write_json(tmp_path / "cfg.json", [20, 3])
+        code = cli.main(["train", "--input", str(series_csv),
+                         "--config", cfg, "--output", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"error: {cfg} holds no JSON object" in capsys.readouterr().err
+
+    def test_too_short_series_rejected(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        write_csv(path, generate_clean(SynthSpec(length=59, seed=3)))
+        code = cli.main(["train", "--input", str(path), "--output", str(tmp_path / "m.json")])
+        assert code == 2
+        assert ("error: need at least 60 samples for window_size 30, got 59"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_value_rejected_with_index(self, tmp_path, capsys):
         path = tmp_path / "holes.csv"
@@ -239,6 +260,22 @@ class TestDetect:
         assert code == 2
         assert "orthonormality" in capsys.readouterr().err
 
+    def test_cold_start_needs_more_than_one_window(self, tmp_path, model_json, capsys):
+        path = tmp_path / "short.csv"
+        write_csv(path, generate_clean(SynthSpec(length=30, seed=43)))
+        code = cli.main(["detect", "--model", str(model_json),
+                         "--input", str(path), "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "error: input must exceed M1=30 samples without --train" in capsys.readouterr().err
+
+    def test_model_that_is_no_object_is_rejected(self, tmp_path, series_csv, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[1, 2]")
+        code = cli.main(["detect", "--model", str(model), "--input", str(series_csv),
+                         "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "error: model payload must be a JSON object" in capsys.readouterr().err
+
     def test_projection_methods_require_model(self, tmp_path, series_csv, capsys):
         code = cli.main(["detect", "--input", str(series_csv),
                          "--output", str(tmp_path / "s.csv")])
@@ -375,6 +412,24 @@ class TestBench:
         assert code == 2
         assert f"error: {problem}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_csv_scenario_without_labels_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "unlabelled.csv"
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in
+                                (DATA / "sample_labeled.csv").read_text().splitlines()))
+        scenario = write_json(tmp_path / "scenario.json", {"kind": "csv", "path": str(path)})
+        code = cli.main(["bench", "--scenario", scenario, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "error: series carries no labels" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_named_table_scenario_runs(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main(["bench", "--scenario", "table1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("table1: rpe F1=")
+        report = json.loads(out.read_text())
+        assert (report["scenario"], report["n_runs"]) == ("table1", 20)
+        assert list(report["methods"]) == ["rpe", "spe", "iid", "ar"]
 
     def test_named_table_scenarios_are_accepted(self):
         # Parse-level check only; the full tables run in the acceptance suite.

@@ -185,8 +185,13 @@ class TestTrain:
         assert max(st.memory.values()) < 1e-10
 
     def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(SeriesTooShort, match="need at least 60 samples for window_size 30"):
             train(series(np.ones(59)))
+
+    def test_warm_start_too_short(self):
+        model, pattern = shift_invariant_model()
+        with pytest.raises(SeriesTooShort, match="warm start needs at least 30 samples, got 29"):
+            warm_start(model, series(pattern[:29]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_training_value_is_typed(self, bad):

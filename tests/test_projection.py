@@ -379,6 +379,31 @@ class TestKernelImport:
         assert same.split() == ["True"] * 4
 
 
+PACKAGE_MODULES = ["baselines", "coherence", "detector", "errors", "evaluation", "projection",
+                   "subspace", "synth", "trajectory"]
+
+
+class TestPackageImport:
+    """The benchmark and tools/score_report.py reach every module as an
+    attribute of a bare ``import rpe``; each name is imported from its module
+    only, and the CLI stays out of the import."""
+
+    def test_import_rpe_loads_every_module_but_the_cli(self):
+        loaded = run_fresh(
+            "import sys, rpe\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rpe')))"
+        ).split()
+        assert loaded == ["rpe"] + [f"rpe.{name}" for name in PACKAGE_MODULES]
+
+    def test_package_holds_its_modules_and_no_other_name(self):
+        names = run_fresh(
+            "import rpe\n"
+            "print(*sorted(n for n in vars(rpe) if not n.startswith('__')),"
+            " hasattr(rpe, '__all__'), hasattr(rpe, '__version__'))"
+        ).split()
+        assert names == PACKAGE_MODULES + ["False", "False"]
+
+
 class TestL1Oracle:
     def test_zero_objective(self):
         u = dct_frame(15, (1, 2))

@@ -299,6 +299,17 @@ class TestModelPersistence:
         with pytest.raises(NotOrthonormal):
             load_model(path)
 
+    @pytest.mark.parametrize("payload, problem", [
+        ([1, 2], "model payload must be a JSON object, got list"),
+        ({"version": 1, "M1": 4, "r": 2, "U": [0.5] * 7, "singular_values": [1.0, 1.0]},
+         "basis payload does not match M1 x r"),
+    ], ids=["list", "U-size"])
+    def test_payload_that_is_no_model_rejected(self, tmp_path, payload, problem):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=problem):
+            load_model(path)
+
     def test_version_gate(self):
         t = pure_cosine()
         doc = model_to_dict(estimate_simple(t, 30))

@@ -136,6 +136,27 @@ class TestCsv:
         # median of finite values {1, 3} is 2
         np.testing.assert_array_equal(t.values, [1.0, 2.0, 3.0, 2.0])
 
+    def test_header_after_blank_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n\ntimestamp,value\n0,1.0\n\n1,2.0\n")
+        t = read_csv(path)
+        np.testing.assert_array_equal(t.values, [1.0, 2.0])
+        assert t.timestamps == ("0", "1")
+
+    @pytest.mark.parametrize("text, impute, problem", [
+        ("0,1.0,maybe\n", False, "unrecognised label 'maybe' at row 0"),
+        ("0,1.0\n5\n", False, "row 1 has fewer than two columns"),
+        ("0,1.0\n1,abc\n", False, "unparseable value 'abc' at index 1"),
+        ("timestamp,value\nname,value\n0,1.0\n", False, "unparseable value 'value' at index 0"),
+        ("timestamp,value\n\n", False, "no data rows"),
+        ("0,\n1,nan\n", True, "cannot impute: no finite values present"),
+    ], ids=["label", "one-column", "value", "second-header", "no-rows", "nothing-to-impute"])
+    def test_malformed_file_is_rejected(self, tmp_path, text, impute, problem):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=problem):
+            read_csv(path, impute_median=impute)
+
     def test_timestamps_carried_not_interpreted(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("2021-01-01,1.0\n2021-01-02,2.0\n")
